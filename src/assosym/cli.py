@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from decimal import Decimal
 
 from . import algebra, oracle
 from .characters import alternating_label_dimension
@@ -67,6 +68,15 @@ def _parse_multidegree(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"bad multidegree {text!r}; expected e.g. 2,1") from None
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal digits of an integer of any size.
+
+    ``str`` refuses integers past the interpreter's int->str digit limit;
+    ``Decimal`` converts without one and leaves that process-wide limit alone.
+    """
+    return str(Decimal(value))
 
 
 def _json_text(payload) -> str:
@@ -150,12 +160,12 @@ def cmd_sequences(args) -> tuple[str, int]:
     for n in range(1, args.max_n + 1):
         row = {
             "n": n,
-            "codimension": str(algebra.codimension(n)),
-            "colength": str(algebra.colength(n)),
-            "involutions": str(algebra.involution_count(n)),
+            "codimension": _decimal(algebra.codimension(n)),
+            "colength": _decimal(algebra.colength(n)),
+            "involutions": _decimal(algebra.involution_count(n)),
         }
         if args.cocharacters and n <= 10:
-            row["cocharacter"] = [str(v) for v in algebra.cocharacter(n).values]
+            row["cocharacter"] = [_decimal(v) for v in algebra.cocharacter(n).values]
         rows.append(row)
     if args.format == "json":
         return _json_text({"rows": rows}), EXIT_OK
@@ -194,9 +204,9 @@ def cmd_dims(args) -> tuple[str, int]:
         if args.r is None:
             raise UsageError("--n requires --r")
         value = algebra.graded_dim(args.n, args.r)
-        payload = {"n": args.n, "r": args.r, "dim": str(value)}
+        payload = {"n": args.n, "r": args.r, "dim": _decimal(value)}
         if args.enumerate:
-            payload["enumerated"] = str(algebra.basis_count_direct(args.n, args.r))
+            payload["enumerated"] = _decimal(algebra.basis_count_direct(args.n, args.r))
     else:
         if args.r is not None:
             raise UsageError("--r only combines with --n")
@@ -204,7 +214,7 @@ def cmd_dims(args) -> tuple[str, int]:
             raise UsageError("--enumerate applies to --n/--r only")
         multidegree = _parse_multidegree(args.multidegree)
         value = algebra.multigraded_dim(multidegree)
-        payload = {"multidegree": list(multidegree), "dim": str(value)}
+        payload = {"multidegree": list(multidegree), "dim": _decimal(value)}
     if args.format == "json":
         return _json_text(payload), EXIT_OK
     if args.format == "csv":
@@ -214,10 +224,10 @@ def cmd_dims(args) -> tuple[str, int]:
             for v in payload.values()
         ]
         return _csv_text(header, [row]), EXIT_OK
-    lines = [str(value)]
+    lines = [payload["dim"]]
     if args.enumerate:
-        enum = int(payload["enumerated"])
-        status = "matches" if enum == value else "MISMATCH with"
+        enum = payload["enumerated"]
+        status = "matches" if enum == payload["dim"] else "MISMATCH with"
         lines.append(f"direct basis enumeration: {enum} ({status} the formula)")
     return "\n".join(lines) + "\n", EXIT_OK
 

@@ -1,19 +1,23 @@
 """Ground-truth verification by brute force inside the absolutely free algebra.
 
-The ambient space of multilinear degree n is spanned by all planar binary
-trees with n leaves labelled bijectively by 1..n (n! * Catalan(n-1)
-monomials).  The defining relations (x,y,z) - (x,z,y) and (x,y,z) - (y,x,z)
-generate a T-ideal; its multilinear component is spanned by every
-substitution instance g(u1, u2, u3) of a generator, embedded in a one-hole
-monomial context over the remaining variables.  Exact Gaussian elimination
-of that spanning set gives the quotient dimension, a rewriting map into a
-quotient basis, and from it traces of the symmetric-group action.
+A component of content (l_1, ..., l_r) is spanned by all planar binary trees
+whose leaves read the label multiset 1^l_1 ... r^l_r.  The multilinear part
+P_n is the component of content (1, ..., 1): n! * Catalan(n-1) monomials
+with leaves labelled bijectively by 1..n.  The defining relations
+(x,y,z) - (x,z,y) and (x,y,z) - (y,x,z) generate a T-ideal; its part in a
+component is spanned by every substitution instance g(u1, u2, u3) of a
+generator, embedded in a one-hole monomial context over the remaining labels.
 
-Linear algebra runs twice: a fast single-prime elimination (dense numpy
-rows mod a prime near 2^31), and, for n <= 5, a fraction-free integer
-elimination whose rank certifies the modular one.  Degree 6 (30240
+One pipeline serves every content: one span enumerator, one row builder
+(deduplicated rows in one canonical order) and one certified-rank routine.
+Linear algebra runs twice: a fast single-prime elimination (dense numpy rows
+mod a prime near 2^31), and, for total degree <= 5, a fraction-free integer
+elimination, built once per content, whose rank certifies the modular one
+and whose reduced rows give a rewriting map into a quotient basis and from
+it traces of the symmetric-group action.  Degree 6 (30240 multilinear
 monomials) is modular only.  Everything is sequential and deterministic:
-fixed generation order, fixed column order, no randomness, no threads.
+fixed generation order, fixed row and column order, no randomness, no
+threads.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
@@ -24,8 +28,8 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
-from math import gcd
+from itertools import combinations, permutations, product
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -152,210 +156,181 @@ def _plug(context, x):
     return (_plug(context[0], x), _plug(context[1], x))
 
 
-def _nonempty_subsets(items: tuple):
-    for k in range(1, len(items) + 1):
-        yield from combinations(items, k)
+def _sub_multisets(labels: tuple):
+    """Nonempty sub-multisets of a sorted label tuple: by size, then lexicographic.
+
+    On distinct labels this is ``combinations`` by size: the order in which
+    ``write_consequence_matrix`` numbers the rows of its dump.
+    """
+    for k in range(1, len(labels) + 1):
+        yield from dict.fromkeys(combinations(labels, k))
+
+
+def _without(labels: tuple, sub: tuple) -> tuple:
+    rest = list(labels)
+    for label in sub:
+        rest.remove(label)
+    return tuple(rest)
 
 
 def _instances(blocks, context_labels) -> list[dict]:
     """All context-embedded substitution instances over the given label split."""
     out = []
-    contexts = monomials_with_labels((HOLE,) + tuple(context_labels))
-    mons = [monomials_with_labels(tuple(b)) for b in blocks]
+    contexts = monomials_with_labels((HOLE,) + context_labels)
+    mons = [monomials_with_labels(b) for b in blocks]
     for g in identity_generators():
-        for u1 in mons[0]:
-            for u2 in mons[1]:
-                for u3 in mons[2]:
-                    subs = (u1, u2, u3)
-                    for ctx in contexts:
-                        elem: dict = {}
-                        for term, coeff in g.items():
-                            m = _plug(ctx, _substitute(term, subs))
-                            nv = elem.get(m, 0) + coeff
-                            if nv:
-                                elem[m] = nv
-                            else:
-                                del elem[m]
-                        out.append(elem)
+        for subs in product(*mons):
+            for ctx in contexts:
+                elem: dict = {}
+                for term, coeff in g.items():
+                    m = _plug(ctx, _substitute(term, subs))
+                    nv = elem.get(m, 0) + coeff
+                    if nv:
+                        elem[m] = nv
+                    else:
+                        del elem[m]
+                out.append(elem)
     return out
+
+
+def _span(labels: tuple) -> list[dict]:
+    """Every consequence over a sorted label multiset, in generation order.
+
+    Each split into three nonempty blocks and a (possibly empty) context, with
+    monomials on the blocks and a one-hole context monomial, contributes one
+    element per generator.  Redundant (even duplicate) elements are fine;
+    the row builder absorbs them.
+    """
+    out: list[dict] = []
+    for b1 in _sub_multisets(labels):
+        rest1 = _without(labels, b1)
+        for b2 in _sub_multisets(rest1):
+            rest2 = _without(rest1, b2)
+            for b3 in _sub_multisets(rest2):
+                out.extend(_instances((b1, b2, b3), _without(rest2, b3)))
+    return out
+
+
+def _content_labels(content) -> tuple[int, ...]:
+    return tuple(i for i, c in enumerate(content, start=1) for _ in range(c))
 
 
 def consequence_span(n: int) -> list[dict]:
     """Deterministic spanning set of the multilinear degree-n T-ideal component.
 
-    Every choice of three disjoint nonempty variable blocks, multilinear
-    monomials on them, and a one-hole context on the remaining variables
-    contributes one element per generator.  Redundant (even duplicate)
-    elements are fine; rank computation absorbs them.
+    The same list as ``consequence_span_multigraded((1,) * n)``.
     """
     if not 2 <= n <= 6:
         raise ValueError("consequence_span is limited to 2 <= n <= 6")
-    out: list[dict] = []
-    all_vars = tuple(range(1, n + 1))
-    for b1 in _nonempty_subsets(all_vars):
-        rest1 = tuple(v for v in all_vars if v not in b1)
-        for b2 in _nonempty_subsets(rest1):
-            rest2 = tuple(v for v in rest1 if v not in b2)
-            for b3 in _nonempty_subsets(rest2):
-                context = tuple(v for v in rest2 if v not in b3)
-                out.extend(_instances((b1, b2, b3), context))
-    return out
-
-
-def _content_labels(content) -> tuple[int, ...]:
-    labels = []
-    for i, c in enumerate(content, start=1):
-        labels.extend([i] * c)
-    return tuple(labels)
-
-
-def _subcontents(content):
-    """All componentwise sub-vectors of a content vector, lexicographic order."""
-    out = [()]
-    for c in content:
-        out = [prefix + (x,) for prefix in out for x in range(c + 1)]
-    return out
+    return _span(tuple(range(1, n + 1)))
 
 
 def consequence_span_multigraded(content) -> list[dict]:
     """Spanning set of the T-ideal component with the given generator content."""
-    content = tuple(int(c) for c in content)
-    out: list[dict] = []
-    for c1 in _subcontents(content):
-        if not any(c1):
-            continue
-        rem1 = tuple(a - b for a, b in zip(content, c1))
-        for c2 in _subcontents(rem1):
-            if not any(c2):
-                continue
-            rem2 = tuple(a - b for a, b in zip(rem1, c2))
-            for c3 in _subcontents(rem2):
-                if not any(c3):
-                    continue
-                ctx = tuple(a - b for a, b in zip(rem2, c3))
-                blocks = tuple(_content_labels(c) for c in (c1, c2, c3))
-                out.extend(_instances(blocks, _content_labels(ctx)))
-    return out
+    return _span(_content_labels(tuple(int(c) for c in content)))
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
-def _as_index_rows(elements: list[dict], col_index: dict) -> list[dict]:
-    return [
-        {col_index[m]: c for m, c in elem.items()} for elem in elements if elem
-    ]
-
-
-def _normalized(row: dict) -> tuple:
-    items = sorted(row.items())
-    content = 0
-    for _, v in items:
-        content = gcd(content, v)
-    if items[0][1] < 0:
-        content = -content
-    return tuple((c, v // content) for c, v in items)
-
-
-def _dedupe_rows(rows: list[dict]) -> list[dict]:
-    """Drop rows equal to an earlier one up to sign and content."""
-    seen = set()
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        key = _normalized(row)
-        if key not in seen:
-            seen.add(key)
-            out.append(dict(key))
-    return out
-
-
-def _strip_content(row: dict) -> None:
+def _strip_content(row: dict, pivot: int | None = None) -> None:
+    """Divide ``row`` by its content, signed so that ``row[pivot]`` is positive."""
     content = 0
     for v in row.values():
         content = gcd(content, v)
-    if content > 1:
+    if pivot is not None and row[pivot] < 0:
+        content = -content
+    if content not in (0, 1):
         for k in row:
             row[k] //= content
+
+
+def _consequence_rows(elements: list[dict], ambient) -> list[dict]:
+    """Consequences as integer rows over the ambient columns, deduplicated.
+
+    Rows equal up to sign and content collapse to one normalized key.  Keys
+    come out in one canonical order, by descending last column and then by
+    key: neither the rank nor the reduced echelon form depends on row
+    order, but this one keeps exact fill-in and the modular sweeps small.
+    """
+    col_index = {m: i for i, m in enumerate(ambient)}
+    keys = set()
+    for elem in elements:
+        if elem:
+            row = {col_index[m]: c for m, c in elem.items()}
+            _strip_content(row, min(row))
+            keys.add(tuple(sorted(row.items())))
+    return [dict(key) for key in sorted(keys, key=lambda key: (-key[-1][0], key))]
+
+
+def _eliminate(row: dict, c: int, prow: dict, heap: list | None = None) -> None:
+    """Cancel column c of ``row`` against the pivot row ``prow``, in place.
+
+    Fraction-free: ``row`` is cross-scaled by an integer factor and then
+    stripped of content.  Columns that newly enter ``row`` go onto ``heap``.
+    """
+    v, pv = row[c], prow[c]
+    g = gcd(v, pv)
+    scale_row, scale_piv = pv // g, v // g
+    if scale_row != 1:
+        for k in row:
+            row[k] *= scale_row
+    for k, pk in prow.items():
+        nv = row.get(k, 0) - scale_piv * pk
+        if nv:
+            if heap is not None and k not in row:
+                heapq.heappush(heap, k)
+            row[k] = nv
+        else:
+            row.pop(k, None)
+    if scale_row != 1:
+        _strip_content(row)
 
 
 def _exact_pivots(rows: list[dict]) -> dict[int, dict[int, int]]:
     """Forward elimination over the integers; returns pivot column -> row.
 
-    Each stored row has its pivot at its minimal column; rows are reduced
-    against all earlier pivots at insertion time.  Fraction-free: rows are
-    cross-scaled by integer factors and stripped of content.
+    Each stored row has its pivot at its minimal column, with positive
+    pivot and no content; rows are reduced against all earlier pivots at
+    insertion time.
     """
     pivots: dict[int, dict[int, int]] = {}
     for original in rows:
         row = dict(original)
         heap = list(row)
         heapq.heapify(heap)
-        last = -1
-        pivot_col = None
         while heap:
             c = heapq.heappop(heap)
-            if c == last:
-                continue
-            last = c
-            v = row.get(c, 0)
-            if not v:
+            if c not in row:  # cancelled, or a stale duplicate heap entry
                 continue
             prow = pivots.get(c)
             if prow is None:
-                pivot_col = c
+                _strip_content(row, c)
+                pivots[c] = row
                 break
-            pv = prow[c]
-            g = gcd(v, pv)
-            scale_row, scale_piv = pv // g, v // g
-            if scale_row != 1:
-                for k in row:
-                    row[k] *= scale_row
-            for k, pk in prow.items():
-                nv = row.get(k, 0) - scale_piv * pk
-                if nv:
-                    if k not in row:
-                        heapq.heappush(heap, k)
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-            if scale_row != 1:
-                _strip_content(row)
-        if pivot_col is not None:
-            _strip_content(row)
-            if row[pivot_col] < 0:
-                for k in row:
-                    row[k] = -row[k]
-            pivots[pivot_col] = row
+            _eliminate(row, c, prow, heap)
     return pivots
 
 
 def _back_substitute(pivots: dict[int, dict[int, int]]) -> None:
-    """Clean every pivot row so its tail touches no other pivot column."""
+    """Clean every pivot row so its tail touches no other pivot column.
+
+    Rows are cleaned from the rightmost pivot leftwards, so each row is
+    reduced only against rows that are already clean.
+    """
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
         for t in sorted(k for k in row if k != c and k in pivots):
-            v = row.get(t, 0)
-            if not v:
-                continue
-            prow = pivots[t]
-            pv = prow[t]
-            g = gcd(v, pv)
-            scale_row, scale_piv = pv // g, v // g
-            if scale_row != 1:
-                for k in row:
-                    row[k] *= scale_row
-            for k, pk in prow.items():
-                nv = row.get(k, 0) - scale_piv * pk
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-        _strip_content(row)
-        if row[c] < 0:
-            for k in row:
-                row[k] = -row[k]
+            _eliminate(row, t, pivots[t])
+        _strip_content(row, c)
+
+
+def _check_modulus(p: int) -> None:
+    """Reject a modulus that is not a prime with (p-1)^2 inside int64."""
+    if p <= 2 or (p - 1) ** 2 >= 2**63:
+        raise ValueError("prime must exceed 2 and keep (p-1)^2 inside int64")
+    if p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 _CHUNK_ROWS = 2048  # fixed block size; results do not depend on it
@@ -370,8 +345,7 @@ def _modular_rank(rows: list[dict], ncols: int, p: int) -> int:
     block becomes the new pivot (stored sparsely, tail scaled to pivot 1).
     Sequential and deterministic; the block size only amortizes overhead.
     """
-    if not 2 < p < 2**31 + 2**30:
-        raise ValueError("prime must exceed 2 and keep (p-1)^2 inside int64")
+    _check_modulus(p)
     piv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     rank = 0
     pending = np.zeros(ncols, dtype=bool)
@@ -457,15 +431,25 @@ class QuotientBasis:
 
 
 @cache
+def _exact_system(content: tuple[int, ...]) -> tuple:
+    """(ambient, rows, reduced pivots) of a component of total degree <= 5.
+
+    Built once per content and shared, read-only, by every rank and basis
+    computation; degree 6 is never cached.
+    """
+    ambient = monomials_with_labels(_content_labels(content))
+    rows = _consequence_rows(consequence_span_multigraded(content), ambient)
+    pivots = _exact_pivots(rows)
+    _back_substitute(pivots)
+    return ambient, rows, pivots
+
+
+@cache
 def quotient_basis(n: int) -> QuotientBasis:
     """Exact reduced row echelon data for the degree-n multilinear quotient."""
     if not 2 <= n <= 5:
         raise ValueError("quotient_basis is limited to 2 <= n <= 5")
-    ambient = enumerate_multilinear(n)
-    col_index = {m: i for i, m in enumerate(ambient)}
-    rows = _dedupe_rows(_as_index_rows(consequence_span(n), col_index))
-    pivots = _exact_pivots(rows)
-    _back_substitute(pivots)
+    ambient, _, pivots = _exact_system((1,) * n)
     basis = tuple(m for i, m in enumerate(ambient) if i not in pivots)
     rewrite_map = {}
     for c, row in pivots.items():
@@ -476,45 +460,45 @@ def quotient_basis(n: int) -> QuotientBasis:
     return QuotientBasis(n=n, monomials=basis, rewrite_map=rewrite_map)
 
 
-def _ranked_rows(elements: list[dict], ambient: list) -> list[dict]:
-    col_index = {m: i for i, m in enumerate(ambient)}
-    return _dedupe_rows(_as_index_rows(elements, col_index))
+def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
+    """Quotient dimension of one component from its rank modulo a prime.
 
-
-def _modular_ranks(rows: list[dict], ncols: int, prime, second_prime) -> int:
-    p = prime or DEFAULT_PRIME
-    rank_p = _modular_rank(rows, ncols, p)
-    if second_prime:
-        rank_p2 = _modular_rank(rows, ncols, second_prime)
-        if rank_p2 != rank_p:
-            raise RankMismatchError(
-                f"rank {rank_p} mod {p} but {rank_p2} mod {second_prime}"
-            )
-    return rank_p
+    Up to total degree 5 the modular rank must equal the rank of the exact
+    system; at degree 6 it stands alone.  A ``second_prime`` must give the
+    same rank as the first.
+    """
+    primes = [p for p in (prime or DEFAULT_PRIME, second_prime) if p]
+    for p in primes:  # a bad modulus fails before any elimination work
+        _check_modulus(p)
+    if sum(content) <= 5:
+        ambient, rows, pivots = _exact_system(content)
+    else:
+        ambient = monomials_with_labels(_content_labels(content))
+        rows = _consequence_rows(consequence_span_multigraded(content), ambient)
+        pivots = None
+    ranks = [_modular_rank(rows, len(ambient), p) for p in primes]
+    rank_p = ranks[0]
+    if ranks[-1] != rank_p:
+        raise RankMismatchError(f"rank {rank_p} mod {primes[0]} but {ranks[-1]} mod {primes[-1]}")
+    if pivots is not None and len(pivots) != rank_p:
+        raise RankMismatchError(
+            f"modular rank {rank_p} != rational rank {len(pivots)}; retry with a "
+            "different prime"
+        )
+    return len(ambient) - rank_p
 
 
 def quotient_dim(n: int, prime: int | None = None, second_prime: int | None = None) -> int:
     """Dimension of the multilinear quotient P_n / (P_n . T-ideal part).
 
-    Modular elimination first; for n <= 5 the rank is certified by the
-    integer elimination and a disagreement raises RankMismatchError.  At
-    n = 6 the result rests on the prime-field rank alone (pass
-    ``second_prime`` to cross-check two primes).
+    The multigraded component of content (1, ..., 1).  Modular elimination,
+    certified for n <= 5 by the integer elimination (a disagreement raises
+    RankMismatchError).  At n = 6 the result rests on the prime-field rank
+    alone (pass ``second_prime`` to cross-check two primes).
     """
     if not 2 <= n <= 6:
         raise ValueError("quotient_dim is limited to 2 <= n <= 6")
-    ambient = enumerate_multilinear(n)
-    rows = _ranked_rows(consequence_span(n), ambient)
-    rank_p = _modular_ranks(rows, len(ambient), prime, second_prime)
-    if n == 6:
-        return len(ambient) - rank_p
-    exact_rank = len(ambient) - len(quotient_basis(n).monomials)
-    if exact_rank != rank_p:
-        raise RankMismatchError(
-            f"modular rank {rank_p} != rational rank {exact_rank}; retry with a "
-            "different prime"
-        )
-    return len(ambient) - exact_rank
+    return _certified_dim((1,) * n, prime, second_prime)
 
 
 def quotient_dim_multigraded(content, prime: int | None = None) -> int:
@@ -526,21 +510,9 @@ def quotient_dim_multigraded(content, prime: int | None = None) -> int:
     content = tuple(int(c) for c in content)
     if not content or any(c < 1 for c in content):
         raise ValueError(f"multidegree parts must be positive, got {content}")
-    total = sum(content)
-    if total > 6:
+    if sum(content) > 6:
         raise ValueError("quotient_dim_multigraded is limited to total degree <= 6")
-    ambient = list(monomials_with_labels(_content_labels(content)))
-    rows = _ranked_rows(consequence_span_multigraded(content), ambient)
-    rank_p = _modular_ranks(rows, len(ambient), prime, None)
-    if total == 6:
-        return len(ambient) - rank_p
-    exact_rank = len(_exact_pivots(rows))
-    if exact_rank != rank_p:
-        raise RankMismatchError(
-            f"modular rank {rank_p} != rational rank {exact_rank}; retry with a "
-            "different prime"
-        )
-    return len(ambient) - exact_rank
+    return _certified_dim(content, prime, None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 tuple is the (valid) partition of 0.  All counts are exact Python integers.
 Every function here is pure, so results are safe to share between threads.
+Public functions validate their partition argument once; the underscored
+helpers they call take it as already validated.
 """
 
 from functools import cache
@@ -45,7 +47,10 @@ def generate_partitions(n: int) -> tuple[Partition, ...]:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose the Young diagram (rows become columns)."""
-    lam = check_partition(lam)
+    return _conjugate(check_partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
@@ -53,13 +58,16 @@ def conjugate(lam: Partition) -> Partition:
 
 def is_self_conjugate(lam: Partition) -> bool:
     lam = check_partition(lam)
-    return lam == conjugate(lam)
+    return lam == _conjugate(lam)
 
 
 def hook_lengths(lam: Partition) -> list[list[int]]:
     """Hook length of every cell, row by row."""
-    lam = check_partition(lam)
-    conj = conjugate(lam)
+    return _hook_lengths(check_partition(lam))
+
+
+def _hook_lengths(lam: Partition) -> list[list[int]]:
+    conj = _conjugate(lam)
     return [
         [lam[i] - j + conj[j] - i - 1 for j in range(lam[i])]
         for i in range(len(lam))
@@ -77,7 +85,7 @@ def specht_dim(lam: Partition) -> int:
     if n == 0:
         return 1
     prod = 1
-    for row in hook_lengths(lam):
+    for row in _hook_lengths(lam):
         for h in row:
             prod *= h
     d, rem = divmod(factorial(n), prod)
@@ -125,7 +133,7 @@ def weyl_dim(lam: Partition, m: int) -> int:
         return 0
     num = 1
     den = 1
-    hooks = hook_lengths(lam)
+    hooks = _hook_lengths(lam)
     for i in range(len(lam)):
         for j in range(lam[i]):
             num *= m + j - i

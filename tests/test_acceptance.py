@@ -12,6 +12,7 @@ from math import factorial
 
 import pytest
 
+import assosym
 from assosym.algebra import (
     an_decomposition,
     codimension,
@@ -34,6 +35,8 @@ from assosym.partitions import (
     syt_count_bruteforce,
     weyl_dim,
 )
+
+SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(assosym.__file__)))
 
 SN_TABLES = {
     1: {Label((1,)): 1},
@@ -211,7 +214,9 @@ def test_criterion_09_representation_theory_substrate():
 def test_criterion_10_determinism_of_verify_reports():
     outputs = []
     for seed in ("0", "1337"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        # the child imports the same package as this process, installed or not
+        path = os.pathsep.join(filter(None, (SRC_ROOT, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "assosym.cli", "verify", "--n", "5"],
             capture_output=True, env=env,

@@ -2,11 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
+import assosym
 from assosym import cli
+from assosym.algebra import codimension, graded_dim, involution_count
 from assosym.decomposition import Decomposition
+
+SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(assosym.__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +99,31 @@ def test_sequences_cocharacters(capsys):
     assert rows[2]["cocharacter"] == ["1", "1", "7"]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int->str digit limit")
+def test_sequences_print_integers_past_the_int_str_limit(capsys):
+    # 400! has 869 digits, past a 640-digit limit as 1559! is past the default
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "sequences", "400", "--format", "csv")
+        assert sys.get_int_max_str_digits() == 640  # the limit is left alone
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert code == 0, err
+    n, codim, _, involutions = out.splitlines()[-1].split(",")
+    assert n == "400"
+    assert Decimal(codim) == codimension(400)
+    assert Decimal(involutions) == involution_count(400)
+
+
+def test_dims_print_integers_past_the_int_str_limit(capsys):
+    code, out, err = run_cli(capsys, "dims", "--n", "20000", "--r", "2")
+    assert code == 0, err
+    assert len(out.strip()) > 4300
+    assert Decimal(out) == graded_dim(20000, 2)
+
+
 def test_dims_graded(capsys):
     code, out, _ = run_cli(capsys, "dims", "--n", "3", "--r", "2")
     assert code == 0
@@ -143,6 +173,18 @@ def test_verify_multidegree(capsys):
     code, out, _ = run_cli(capsys, "verify", "--multidegree", "2,1")
     assert code == 0
     assert "PASS: multigraded dimension, degree 2,1: 4 = 4" in out
+
+
+def test_verify_rejects_a_composite_modulus(capsys):
+    for argv in (
+        ("verify", "--n", "4", "--prime", "1000000"),
+        ("verify", "--n", "3", "--second-prime", "1000000"),
+        ("verify", "--multidegree", "4,1,1", "--allow-n6", "--prime", "1000000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "1000000 is not prime" in err
 
 
 def test_verify_degree_6_needs_opt_in(capsys):
@@ -199,7 +241,9 @@ def test_usage_error_exit_code():
 def test_verify_reports_are_byte_identical_across_hash_seeds(tmp_path):
     outputs = []
     for seed in ("0", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        # the child imports the same package as this process, installed or not
+        path = os.pathsep.join(filter(None, (SRC_ROOT, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "assosym.cli", "verify", "--n", "3"],
             capture_output=True, env=env, check=True,

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,6 +11,7 @@ from assosym.decomposition import Label
 from assosym.oracle import (
     class_representative,
     consequence_span,
+    consequence_span_multigraded,
     enumerate_multilinear,
     identity_generators,
     leaf_labels,
@@ -21,9 +24,10 @@ from assosym.oracle import (
     quotient_dim_multigraded,
     relabel,
     write_consequence_matrix,
-    _as_index_rows,
-    _dedupe_rows,
+    _back_substitute,
+    _consequence_rows,
     _exact_pivots,
+    _exact_system,
     _modular_rank,
 )
 from assosym.partitions import generate_partitions
@@ -84,19 +88,42 @@ def test_identity_generators_shape():
 def test_consequence_span_degree_3():
     span = consequence_span(3)
     assert len(span) == 12
-    ambient = enumerate_multilinear(3)
-    col_index = {m: i for i, m in enumerate(ambient)}
-    rows = _dedupe_rows(_as_index_rows(span, col_index))
+    rows = _consequence_rows(span, enumerate_multilinear(3))
     assert len(_exact_pivots(rows)) == 5  # 12 ambient - 7 quotient
 
 
 def test_consequence_span_degree_4_rank():
     span = consequence_span(4)
     ambient = enumerate_multilinear(4)
-    col_index = {m: i for i, m in enumerate(ambient)}
-    rows = _dedupe_rows(_as_index_rows(span, col_index))
+    rows = _consequence_rows(span, ambient)
     assert len(_exact_pivots(rows)) == 91  # 120 - 29
     assert _modular_rank(rows, len(ambient), 2**31 - 1) == 91
+
+
+def test_multilinear_span_is_the_content_one_component():
+    for n in (3, 4, 5):
+        assert consequence_span(n) == consequence_span_multigraded((1,) * n)
+
+
+def test_consequence_rows_are_deduplicated_in_canonical_order():
+    rows = _consequence_rows(consequence_span(4), enumerate_multilinear(4))
+    keys = [tuple(sorted(row.items())) for row in rows]
+    assert len(set(keys)) == len(keys) == 120  # 240 span elements, pairs collapse
+    assert keys == sorted(keys, key=lambda key: (-key[-1][0], key))
+    assert all(key[0][1] > 0 for key in keys)
+
+
+def test_reduced_pivots_do_not_depend_on_row_order():
+    rows = _consequence_rows(consequence_span(4), enumerate_multilinear(4))
+    shuffled = list(rows)
+    random.Random(0).shuffle(shuffled)
+    reduced = []
+    for order in (rows, rows[::-1], shuffled):
+        pivots = _exact_pivots(order)
+        _back_substitute(pivots)
+        reduced.append(pivots)
+    assert reduced[0] == reduced[1] == reduced[2]
+    assert len(reduced[0]) == 91
 
 
 def test_consequence_span_guard():
@@ -122,6 +149,24 @@ def test_quotient_dim_guard_and_prime_check():
         quotient_dim(7)
     with pytest.raises(ValueError):
         quotient_dim(3, prime=2)
+
+
+def test_composite_and_oversized_moduli_are_rejected():
+    rows = _consequence_rows(consequence_span(3), enumerate_multilinear(3))
+    for modulus in (4, 1_000_000, 1_000_001, 2**31 + 1):  # 1000001 = 101 * 9901
+        with pytest.raises(ValueError, match="not prime"):
+            _modular_rank(rows, 12, modulus)
+    with pytest.raises(ValueError, match="not prime"):
+        quotient_dim(4, prime=1_000_000)
+    with pytest.raises(ValueError, match="not prime"):
+        quotient_dim(3, second_prime=1_000_000)
+    with pytest.raises(ValueError, match="not prime"):
+        quotient_dim_multigraded((4, 1, 1), prime=1_000_000)
+    # prime, but (p-1)^2 overflows int64
+    with pytest.raises(ValueError, match="int64"):
+        quotient_dim(3, prime=3_221_225_461)
+    assert _modular_rank(rows, 12, 3) == 5
+    assert _modular_rank(rows, 12, 3_037_000_493) == 5  # largest prime below 2^31.5
 
 
 def test_quotient_dim_multigraded_examples():
@@ -239,9 +284,17 @@ def test_consequence_matrix_dump_format():
         assert den == "1" and int(num) in (1, -1)
 
 
+def test_consequence_matrix_dump_is_pinned_at_degree_5():
+    buf = io.StringIO()
+    write_consequence_matrix(5, buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "bf104bad019b0f04d12644453c9747e7a70fa0c2891472085e13549d7dd35d3d"
+
+
 def test_deterministic_rebuild():
     qb1 = quotient_basis(3)
     quotient_basis.cache_clear()
+    _exact_system.cache_clear()
     qb2 = quotient_basis(3)
     assert qb1.monomials == qb2.monomials
     assert qb1.rewrite_map == qb2.rewrite_map
