@@ -11,28 +11,17 @@ all of that into executable, exact arithmetic.
 """
 
 from itertools import combinations_with_replacement, product
+from math import factorial
 
 from .characters import (
     CharacterVector,
+    _merge_conjugate_pairs,
     involution_count,
     irreducible_character,
     restrict_to_alternating,
 )
-from .decomposition import (
-    GROUP_ALTERNATING,
-    GROUP_GENERAL_LINEAR,
-    GROUP_SYMMETRIC,
-    Decomposition,
-    Label,
-)
-from .partitions import (
-    binomial,
-    conjugate,
-    generate_partitions,
-    is_self_conjugate,
-    multinomial,
-    specht_dim,
-)
+from .decomposition import GROUP_GENERAL_LINEAR, GROUP_SYMMETRIC, Decomposition, Label
+from .partitions import binomial, generate_partitions, multinomial, specht_dim
 
 
 def two_row_multiplicity(n: int, lam2: int) -> int:
@@ -101,32 +90,14 @@ def an_gl_decomposition(n: int, m: int) -> Decomposition:
     """
     if n < 2:
         raise ValueError("alternating decomposition needs n >= 2")
-    gl = gl_decomposition(n, m)
-    terms: dict[Label, int] = {}
-    for lam in generate_partitions(n):
-        mult = gl.terms.get(Label(lam), 0)
-        if is_self_conjugate(lam):
-            if mult:
-                terms[Label(lam, "+")] = mult
-                terms[Label(lam, "-")] = mult
-        else:
-            partner = conjugate(lam)
-            if lam < partner:
-                continue
-            merged = mult + gl.terms.get(Label(partner), 0)
-            if merged:
-                terms[Label(lam)] = merged
-    return Decomposition(n, GROUP_ALTERNATING, terms)
+    return _merge_conjugate_pairs(gl_decomposition(n, m), halve=False)
 
 
 def codimension(n: int) -> int:
     """dim of the multilinear degree-n part: n! + 2^n - C(n+1, 2) - 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-    return f + 2**n - binomial(n + 1, 2) - 1
+    return factorial(n) + 2**n - binomial(n + 1, 2) - 1
 
 
 def graded_dim(n: int, r: int) -> int:

@@ -160,19 +160,32 @@ def restrict_to_alternating(dec: Decomposition) -> Decomposition:
         if label.sign:
             raise ValueError("input already carries split tags")
 
+    return _merge_conjugate_pairs(dec, halve=True)
+
+
+def _merge_conjugate_pairs(dec: Decomposition, halve: bool) -> Decomposition:
+    """Alternating-group labels from the untagged labels of ``dec``.
+
+    A conjugate pair merges into its lexicographically larger member with
+    the multiplicities added.  A self-conjugate label books its multiplicity
+    on each of the '+' and '-' tags, halved when ``halve`` is set (an odd
+    multiplicity then raises ValueError).
+    """
     terms: dict[Label, int] = {}
     for lam in generate_partitions(dec.n):
         mult = dec.terms.get(Label(lam), 0)
         if is_self_conjugate(lam):
             if mult == 0:
                 continue
-            half, odd = divmod(mult, 2)
-            if odd:
-                raise ValueError(
-                    f"self-conjugate {lam} has odd multiplicity {mult}; cannot halve"
-                )
-            terms[Label(lam, "+")] = half
-            terms[Label(lam, "-")] = half
+            if halve:
+                half, odd = divmod(mult, 2)
+                if odd:
+                    raise ValueError(
+                        f"self-conjugate {lam} has odd multiplicity {mult}; cannot halve"
+                    )
+                mult = half
+            terms[Label(lam, "+")] = mult
+            terms[Label(lam, "-")] = mult
         else:
             partner = conjugate(lam)
             if lam < partner:

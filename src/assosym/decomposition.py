@@ -104,6 +104,8 @@ class Decomposition:
         terms = {}
         for entry in data["terms"]:
             label = Label(tuple(entry["partition"]), entry.get("sign", ""))
+            if label in terms:
+                raise ValueError(f"repeated label {label.render()}")
             terms[label] = int(entry["mult"])
         return cls(int(data["n"]), data["group"], terms)
 
@@ -115,6 +117,5 @@ class Decomposition:
         """Render as a formal sum, e.g. ``3*S^{(4)} + 4*S^{(3,1)}``."""
         parts = []
         for label, mult in self.terms.items():
-            body = "(" + ",".join(str(p) for p in label.partition) + ")" + label.sign
-            parts.append(f"{mult}*{module_symbol}^{{{body}}}")
+            parts.append(f"{mult}*{module_symbol}^{{{label.render()}}}")
         return " + ".join(parts) if parts else "0"

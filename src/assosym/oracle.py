@@ -9,22 +9,26 @@ component is spanned by every substitution instance g(u1, u2, u3) of a
 generator, embedded in a one-hole monomial context over the remaining labels.
 
 One pipeline serves every content: one span enumerator, one row builder
-(deduplicated rows in one canonical order) and one certified-rank routine.
-Linear algebra runs twice: a fast single-prime elimination (dense numpy rows
-mod a prime near 2^31), and, for total degree <= 5, a fraction-free integer
-elimination, built once per content, whose rank certifies the modular one
-and whose reduced rows give a rewriting map into a quotient basis and from
-it traces of the symmetric-group action.  Degree 6 (30240 multilinear
-monomials) is modular only.  Everything is sequential and deterministic:
-fixed generation order, fixed row and column order, no randomness, no
-threads.
+(deduplicated rows in one canonical order), one elimination kernel and one
+certified-rank routine.  The kernel computes an echelon form over GF(p)
+(dense numpy rows, p a prime near 2^31); its length is the rank mod p.  For
+total degree <= 5 the echelon form, once per content, is back-substituted
+mod p on its free columns, lifted to symmetric residues and checked exactly:
+every consequence row must be the integer combination of the lifted rows at
+its pivot columns.  That proves rank over Q <= rank mod p, and rank mod p <=
+rank over Q always holds, so the ranks agree and the lifted rows are the
+unique reduced echelon form over Q.  An unlucky prime fails the check with
+RankMismatchError instead of giving a wrong answer.  The reduced rows give
+a rewriting map into a quotient basis and from it traces of the
+symmetric-group action.  Degree 6 (30240 multilinear monomials) is rank mod
+p only.  Everything is sequential and deterministic: fixed generation
+order, fixed row and column order, no randomness, no threads.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
 the left-to-right label sequence.
 """
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -43,7 +47,11 @@ HOLE = 0  # reserved leaf label marking the slot of a one-hole context
 
 
 class RankMismatchError(RuntimeError):
-    """Modular and rational ranks disagree (unlucky prime) or two primes differ."""
+    """An unlucky prime.
+
+    Modular and rational ranks disagree, two primes differ, or an echelon
+    form mod p does not lift to one over Q.
+    """
 
 
 class MultiplicityError(RuntimeError):
@@ -231,98 +239,27 @@ def consequence_span_multigraded(content) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra
-
-def _strip_content(row: dict, pivot: int | None = None) -> None:
-    """Divide ``row`` by its content, signed so that ``row[pivot]`` is positive."""
-    content = 0
-    for v in row.values():
-        content = gcd(content, v)
-    if pivot is not None and row[pivot] < 0:
-        content = -content
-    if content not in (0, 1):
-        for k in row:
-            row[k] //= content
-
+# linear algebra
 
 def _consequence_rows(elements: list[dict], ambient) -> list[dict]:
     """Consequences as integer rows over the ambient columns, deduplicated.
 
-    Rows equal up to sign and content collapse to one normalized key.  Keys
-    come out in one canonical order, by descending last column and then by
-    key: neither the rank nor the reduced echelon form depends on row
-    order, but this one keeps exact fill-in and the modular sweeps small.
+    Rows equal up to sign and content collapse to one normalized key: no
+    content, positive at the minimal column.  Keys come out in one canonical
+    order, by descending last column and then by key: neither the rank nor
+    the reduced echelon form depends on row order, but this one keeps the
+    elimination sweeps small.
     """
     col_index = {m: i for i, m in enumerate(ambient)}
     keys = set()
     for elem in elements:
         if elem:
             row = {col_index[m]: c for m, c in elem.items()}
-            _strip_content(row, min(row))
-            keys.add(tuple(sorted(row.items())))
+            content = gcd(*row.values())
+            if row[min(row)] < 0:
+                content = -content
+            keys.add(tuple(sorted((k, v // content) for k, v in row.items())))
     return [dict(key) for key in sorted(keys, key=lambda key: (-key[-1][0], key))]
-
-
-def _eliminate(row: dict, c: int, prow: dict, heap: list | None = None) -> None:
-    """Cancel column c of ``row`` against the pivot row ``prow``, in place.
-
-    Fraction-free: ``row`` is cross-scaled by an integer factor and then
-    stripped of content.  Columns that newly enter ``row`` go onto ``heap``.
-    """
-    v, pv = row[c], prow[c]
-    g = gcd(v, pv)
-    scale_row, scale_piv = pv // g, v // g
-    if scale_row != 1:
-        for k in row:
-            row[k] *= scale_row
-    for k, pk in prow.items():
-        nv = row.get(k, 0) - scale_piv * pk
-        if nv:
-            if heap is not None and k not in row:
-                heapq.heappush(heap, k)
-            row[k] = nv
-        else:
-            row.pop(k, None)
-    if scale_row != 1:
-        _strip_content(row)
-
-
-def _exact_pivots(rows: list[dict]) -> dict[int, dict[int, int]]:
-    """Forward elimination over the integers; returns pivot column -> row.
-
-    Each stored row has its pivot at its minimal column, with positive
-    pivot and no content; rows are reduced against all earlier pivots at
-    insertion time.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for original in rows:
-        row = dict(original)
-        heap = list(row)
-        heapq.heapify(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            if c not in row:  # cancelled, or a stale duplicate heap entry
-                continue
-            prow = pivots.get(c)
-            if prow is None:
-                _strip_content(row, c)
-                pivots[c] = row
-                break
-            _eliminate(row, c, prow, heap)
-    return pivots
-
-
-def _back_substitute(pivots: dict[int, dict[int, int]]) -> None:
-    """Clean every pivot row so its tail touches no other pivot column.
-
-    Rows are cleaned from the rightmost pivot leftwards, so each row is
-    reduced only against rows that are already clean.
-    """
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for t in sorted(k for k in row if k != c and k in pivots):
-            _eliminate(row, t, pivots[t])
-        _strip_content(row, c)
 
 
 def _check_modulus(p: int) -> None:
@@ -336,18 +273,20 @@ def _check_modulus(p: int) -> None:
 _CHUNK_ROWS = 2048  # fixed block size; results do not depend on it
 
 
-def _modular_rank(rows: list[dict], ncols: int, p: int) -> int:
-    """Rank over GF(p), eliminating blocks of rows against cached column pivots.
+def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Echelon form over GF(p): pivot column -> (tail columns, tail values).
 
+    The one elimination kernel; the rank mod p is the length of its result.
     Rows are loaded a fixed-size block at a time into a dense column-major
     buffer and swept left to right: at each column the whole block is
     reduced against the cached pivot, or the first unreduced row of the
     block becomes the new pivot (stored sparsely, tail scaled to pivot 1).
-    Sequential and deterministic; the block size only amortizes overhead.
+    Each pivot sits at the leftmost column of its row, and a tail may still
+    touch later pivot columns.  Sequential and deterministic; the block size
+    only amortizes overhead.
     """
     _check_modulus(p)
     piv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    rank = 0
     pending = np.zeros(ncols, dtype=bool)
     for start in range(0, len(rows), _CHUNK_ROWS):
         block = rows[start:start + _CHUNK_ROWS]
@@ -378,7 +317,6 @@ def _modular_rank(rows: list[dict], ncols: int, p: int) -> int:
                 tail = support[support > c]
                 tvals = (prow[tail] * inv) % p
                 piv[c] = (tail, tvals)
-                rank += 1
                 mat[r0, support] = 0  # freeze the pivot row out of the block
                 nz = nz[1:]
             else:
@@ -395,7 +333,55 @@ def _modular_rank(rows: list[dict], ncols: int, p: int) -> int:
                         mat[np.ix_(nz, tail)] = sub
                     pending[tail] = True
                 col[nz] = 0
-    return rank
+    return piv
+
+
+def _lift(echelon: dict, ncols: int, p: int) -> dict[int, dict[int, int]]:
+    """The reduced echelon form mod p, lifted to symmetric residues.
+
+    Back substitution runs from the rightmost pivot leftwards on the free
+    (non-pivot) columns only: a tail entry at a pivot column is replaced by
+    that pivot's already reduced row.  Each lifted row maps its pivot column
+    to 1 and free columns to integers in (-p/2, p/2].
+    """
+    free = np.array([c for c in range(ncols) if c not in echelon], dtype=np.int64)
+    slot = np.full(ncols, -1, dtype=np.int64)
+    slot[free] = np.arange(free.size)
+    reduced = np.zeros((ncols, free.size), dtype=np.int64)
+    for c in sorted(echelon, reverse=True):
+        tail, tvals = echelon[c]
+        at = slot[tail]
+        on_free = at >= 0
+        row = reduced[c]
+        row[at[on_free]] = tvals[on_free]
+        on_pivot = ~on_free
+        if on_pivot.any():
+            # products are reduced before the sum, so int64 cannot overflow
+            terms = (tvals[on_pivot][:, None] * reduced[tail[on_pivot]]) % p
+            row -= terms.sum(axis=0)
+            row %= p
+    lifted = np.where(reduced > p // 2, reduced - p, reduced)
+    out = {}
+    for c in sorted(echelon):
+        nz = np.flatnonzero(lifted[c])
+        out[c] = {c: 1, **{int(free[j]): int(lifted[c, j]) for j in nz}}
+    return out
+
+
+def _spans(reduced: dict[int, dict[int, int]], rows: list[dict]) -> bool:
+    """Whether each row equals, over Z, the sum of row[c] * reduced[c] over pivots c.
+
+    If so, the reduced rows span the rows over Q, so the rational rank is at
+    most their number.
+    """
+    for row in rows:
+        combination: dict[int, int] = {}
+        for c, v in row.items():
+            for k, x in reduced.get(c, {}).items():
+                combination[k] = combination.get(k, 0) + v * x
+        if {k: x for k, x in combination.items() if x} != row:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +420,18 @@ class QuotientBasis:
 def _exact_system(content: tuple[int, ...]) -> tuple:
     """(ambient, rows, reduced pivots) of a component of total degree <= 5.
 
-    Built once per content and shared, read-only, by every rank and basis
-    computation; degree 6 is never cached.
+    The echelon form mod DEFAULT_PRIME, lifted, is kept only if it spans
+    every row over Z: then rank over Q <= its length = rank mod p <= rank
+    over Q, and it is the unique reduced echelon form over Q.  Built once
+    per content and shared, read-only, by every rank and basis computation;
+    degree 6 is never lifted or cached.
     """
     ambient = monomials_with_labels(_content_labels(content))
     rows = _consequence_rows(consequence_span_multigraded(content), ambient)
-    pivots = _exact_pivots(rows)
-    _back_substitute(pivots)
+    p = DEFAULT_PRIME
+    pivots = _lift(_echelon(rows, len(ambient), p), len(ambient), p)
+    if not _spans(pivots, rows):
+        raise RankMismatchError(f"the echelon form mod {p} does not lift to one over Q")
     return ambient, rows, pivots
 
 
@@ -453,19 +444,16 @@ def quotient_basis(n: int) -> QuotientBasis:
     basis = tuple(m for i, m in enumerate(ambient) if i not in pivots)
     rewrite_map = {}
     for c, row in pivots.items():
-        pv = row[c]
-        rewrite_map[ambient[c]] = {
-            ambient[k]: Fraction(-v, pv) for k, v in row.items() if k != c
-        }
+        rewrite_map[ambient[c]] = {ambient[k]: Fraction(-v) for k, v in row.items() if k != c}
     return QuotientBasis(n=n, monomials=basis, rewrite_map=rewrite_map)
 
 
 def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
     """Quotient dimension of one component from its rank modulo a prime.
 
-    Up to total degree 5 the modular rank must equal the rank of the exact
-    system; at degree 6 it stands alone.  A ``second_prime`` must give the
-    same rank as the first.
+    Up to total degree 5 the modular rank must equal the rational rank, the
+    length of the exact system's reduced pivots; at degree 6 it stands
+    alone.  A ``second_prime`` must give the same rank as the first.
     """
     primes = [p for p in (prime or DEFAULT_PRIME, second_prime) if p]
     for p in primes:  # a bad modulus fails before any elimination work
@@ -476,7 +464,7 @@ def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
         ambient = monomials_with_labels(_content_labels(content))
         rows = _consequence_rows(consequence_span_multigraded(content), ambient)
         pivots = None
-    ranks = [_modular_rank(rows, len(ambient), p) for p in primes]
+    ranks = [len(_echelon(rows, len(ambient), p)) for p in primes]
     rank_p = ranks[0]
     if ranks[-1] != rank_p:
         raise RankMismatchError(f"rank {rank_p} mod {primes[0]} but {ranks[-1]} mod {primes[-1]}")
@@ -492,7 +480,7 @@ def quotient_dim(n: int, prime: int | None = None, second_prime: int | None = No
     """Dimension of the multilinear quotient P_n / (P_n . T-ideal part).
 
     The multigraded component of content (1, ..., 1).  Modular elimination,
-    certified for n <= 5 by the integer elimination (a disagreement raises
+    certified for n <= 5 by the exact system (a disagreement raises
     RankMismatchError).  At n = 6 the result rests on the prime-field rank
     alone (pass ``second_prime`` to cross-check two primes).
     """

@@ -237,5 +237,22 @@ def test_decomposition_json_round_trip():
         assert back.to_json() == text
 
 
+def test_decomposition_from_json_rejects_repeated_labels():
+    data = {"n": 3, "group": "S", "terms": [
+        {"partition": [3], "mult": "2"}, {"partition": [3], "mult": "5"},
+    ]}
+    with pytest.raises(ValueError, match=r"repeated label \(3\)"):
+        Decomposition.from_json_dict(data)
+    split = {"n": 4, "group": "A", "terms": [
+        {"partition": [2, 2], "sign": "+", "mult": "1"},
+        {"partition": [2, 2], "sign": "-", "mult": "1"},
+        {"partition": [2, 2], "sign": "+", "mult": "1"},
+    ]}
+    with pytest.raises(ValueError, match=r"repeated label \(2,2\)\+"):
+        Decomposition.from_json_dict(split)
+    split["terms"].pop()
+    assert Decomposition.from_json_dict(split).total_multiplicity() == 2
+
+
 def test_render_is_paper_style():
     assert sn_decomposition(3).render() == "2*S^{(3)} + 2*S^{(2,1)} + 1*S^{(1,1,1)}"

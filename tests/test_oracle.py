@@ -6,9 +6,12 @@ from itertools import permutations
 
 import pytest
 
+from assosym import oracle
 from assosym.algebra import codimension, multigraded_dim, sn_decomposition
 from assosym.decomposition import Label
 from assosym.oracle import (
+    DEFAULT_PRIME,
+    RankMismatchError,
     class_representative,
     consequence_span,
     consequence_span_multigraded,
@@ -24,11 +27,11 @@ from assosym.oracle import (
     quotient_dim_multigraded,
     relabel,
     write_consequence_matrix,
-    _back_substitute,
     _consequence_rows,
-    _exact_pivots,
+    _echelon,
     _exact_system,
-    _modular_rank,
+    _lift,
+    _spans,
 )
 from assosym.partitions import generate_partitions
 
@@ -89,15 +92,17 @@ def test_consequence_span_degree_3():
     span = consequence_span(3)
     assert len(span) == 12
     rows = _consequence_rows(span, enumerate_multilinear(3))
-    assert len(_exact_pivots(rows)) == 5  # 12 ambient - 7 quotient
+    assert _exact_system((1, 1, 1))[1] == rows
+    assert len(_exact_system((1, 1, 1))[2]) == 5  # 12 ambient - 7 quotient
 
 
 def test_consequence_span_degree_4_rank():
     span = consequence_span(4)
     ambient = enumerate_multilinear(4)
     rows = _consequence_rows(span, ambient)
-    assert len(_exact_pivots(rows)) == 91  # 120 - 29
-    assert _modular_rank(rows, len(ambient), 2**31 - 1) == 91
+    assert _exact_system((1,) * 4)[1] == rows
+    assert len(_exact_system((1,) * 4)[2]) == 91  # 120 - 29
+    assert len(_echelon(rows, len(ambient), 2**31 - 1)) == 91
 
 
 def test_multilinear_span_is_the_content_one_component():
@@ -119,11 +124,72 @@ def test_reduced_pivots_do_not_depend_on_row_order():
     random.Random(0).shuffle(shuffled)
     reduced = []
     for order in (rows, rows[::-1], shuffled):
-        pivots = _exact_pivots(order)
-        _back_substitute(pivots)
+        pivots = _lift(_echelon(order, 120, DEFAULT_PRIME), 120, DEFAULT_PRIME)
+        assert _spans(pivots, rows)
         reduced.append(pivots)
     assert reduced[0] == reduced[1] == reduced[2]
     assert len(reduced[0]) == 91
+
+
+def fraction_rref(rows: list[dict]) -> dict[int, dict[int, Fraction]]:
+    """Plain Gauss-Jordan over Q: pivot column -> reduced row with pivot entry 1."""
+
+    def subtract(row, scale, other):
+        for k, v in other.items():
+            nv = row.get(k, 0) - scale * v
+            if nv:
+                row[k] = nv
+            else:
+                row.pop(k, None)
+
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for original in rows:
+        row = {k: Fraction(v) for k, v in original.items()}
+        for c in [c for c in row if c in pivots]:
+            subtract(row, row[c], pivots[c])
+        if row:
+            c = min(row)
+            row = {k: v / row[c] for k, v in row.items()}
+            for other in pivots.values():
+                if c in other:
+                    subtract(other, other[c], row)
+            pivots[c] = row
+    return pivots
+
+
+@pytest.mark.parametrize(
+    "content", [(1, 1, 1), (1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2), (4, 1)]
+)
+def test_exact_system_matches_fraction_gauss_jordan(content):
+    _, rows, pivots = _exact_system(content)
+    assert pivots == fraction_rref(rows)
+
+
+@pytest.mark.parametrize("content, p", [((1,) * 5, 7), ((1,) * 4, 5), ((3, 1, 1), 7)])
+def test_small_prime_gives_the_rank_but_fails_the_span_check(content, p):
+    ambient, rows, pivots = _exact_system(content)
+    echelon = _echelon(rows, len(ambient), p)
+    assert len(echelon) == len(pivots)
+    assert _spans(pivots, rows)
+    assert not _spans(_lift(echelon, len(ambient), p), rows)
+
+
+def test_tampered_reduced_entry_fails_the_span_check():
+    _, rows, pivots = _exact_system((1,) * 4)
+    tampered = {c: dict(row) for c, row in pivots.items()}
+    row = next(row for row in tampered.values() if len(row) > 1)
+    row[max(row)] += 1  # a free column: the pivot is the minimal one
+    assert not _spans(tampered, rows)
+
+
+def test_unliftable_default_prime_raises(monkeypatch):
+    _exact_system.cache_clear()
+    monkeypatch.setattr(oracle, "DEFAULT_PRIME", 7)
+    try:
+        with pytest.raises(RankMismatchError, match="does not lift"):
+            quotient_dim(5)
+    finally:
+        _exact_system.cache_clear()
 
 
 def test_consequence_span_guard():
@@ -155,7 +221,7 @@ def test_composite_and_oversized_moduli_are_rejected():
     rows = _consequence_rows(consequence_span(3), enumerate_multilinear(3))
     for modulus in (4, 1_000_000, 1_000_001, 2**31 + 1):  # 1000001 = 101 * 9901
         with pytest.raises(ValueError, match="not prime"):
-            _modular_rank(rows, 12, modulus)
+            _echelon(rows, 12, modulus)
     with pytest.raises(ValueError, match="not prime"):
         quotient_dim(4, prime=1_000_000)
     with pytest.raises(ValueError, match="not prime"):
@@ -165,8 +231,8 @@ def test_composite_and_oversized_moduli_are_rejected():
     # prime, but (p-1)^2 overflows int64
     with pytest.raises(ValueError, match="int64"):
         quotient_dim(3, prime=3_221_225_461)
-    assert _modular_rank(rows, 12, 3) == 5
-    assert _modular_rank(rows, 12, 3_037_000_493) == 5  # largest prime below 2^31.5
+    assert len(_echelon(rows, 12, 3)) == 5
+    assert len(_echelon(rows, 12, 3_037_000_493)) == 5  # largest prime below 2^31.5
 
 
 def test_quotient_dim_multigraded_examples():
