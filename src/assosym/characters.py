@@ -20,10 +20,9 @@ from typing import NamedTuple
 from .decomposition import GROUP_ALTERNATING, GROUP_SYMMETRIC, Decomposition, Label
 from .partitions import (
     Partition,
+    _conjugate,
     check_partition,
-    conjugate,
     generate_partitions,
-    is_self_conjugate,
     specht_dim,
 )
 
@@ -83,7 +82,7 @@ def character_table(n: int) -> list[list[int]]:
     if not 1 <= n <= 12:
         raise ValueError("character_table is limited to 1 <= n <= 12")
     classes = generate_partitions(n)
-    return [[mn_character(lam, mu) for mu in classes] for lam in generate_partitions(n)]
+    return [[_mn(lam, mu) for mu in classes] for lam in classes]
 
 
 def character_table_json(n: int) -> dict:
@@ -114,7 +113,7 @@ class CharacterVector(NamedTuple):
 def irreducible_character(lam: Partition) -> CharacterVector:
     lam = check_partition(lam)
     n = sum(lam)
-    return CharacterVector(n, tuple(mn_character(lam, mu) for mu in generate_partitions(n)))
+    return CharacterVector(n, tuple(_mn(lam, mu) for mu in generate_partitions(n)))
 
 
 def inner_product(phi: CharacterVector, psi: CharacterVector) -> Fraction:
@@ -174,7 +173,8 @@ def _merge_conjugate_pairs(dec: Decomposition, halve: bool) -> Decomposition:
     terms: dict[Label, int] = {}
     for lam in generate_partitions(dec.n):
         mult = dec.terms.get(Label(lam), 0)
-        if is_self_conjugate(lam):
+        partner = _conjugate(lam)
+        if partner == lam:
             if mult == 0:
                 continue
             if halve:
@@ -186,10 +186,7 @@ def _merge_conjugate_pairs(dec: Decomposition, halve: bool) -> Decomposition:
                 mult = half
             terms[Label(lam, "+")] = mult
             terms[Label(lam, "-")] = mult
-        else:
-            partner = conjugate(lam)
-            if lam < partner:
-                continue  # handled at the lexicographically larger member
+        elif lam > partner:  # a pair is handled at its lexicographically larger member
             merged = mult + dec.terms.get(Label(partner), 0)
             if merged:
                 terms[Label(lam)] = merged

@@ -170,24 +170,18 @@ def cmd_sequences(args) -> tuple[str, int]:
     if args.format == "json":
         return _json_text({"rows": rows}), EXIT_OK
     header = ["n", "codimension", "colength", "involutions"]
-    if args.cocharacters:
-        header.append("cocharacter")
+    table = [[str(row[h]) for h in header] for row in rows]
     if args.format == "csv":
-        table = []
-        for row in rows:
-            record = [row["n"], row["codimension"], row["colength"], row["involutions"]]
-            if args.cocharacters:
+        if args.cocharacters:
+            header.append("cocharacter")
+            for record, row in zip(table, rows):
                 record.append(" ".join(row.get("cocharacter", [])))
-            table.append(record)
         return _csv_text(header, table), EXIT_OK
-    widths = [max(len(str(r.get(h, ""))) for r in rows + [dict(zip(header, header))])
-              for h in header[:4]]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header[:4], widths))
+    widths = [max(map(len, col)) for col in zip(header, *table)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))
              + ("  cocharacter" if args.cocharacters else "")]
-    for row in rows:
-        line = "  ".join(
-            str(row[h]).ljust(w) for h, w in zip(header[:4], widths)
-        )
+    for record, row in zip(table, rows):
+        line = "  ".join(v.ljust(w) for v, w in zip(record, widths))
         if args.cocharacters:
             line += "  " + ("(" + ", ".join(row["cocharacter"]) + ")" if "cocharacter" in row else "-")
         lines.append(line.rstrip())
@@ -355,27 +349,16 @@ def build_parser(default_format: str | None) -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        default_format = _read_config_format()
-    except UsageError as exc:
-        print(f"assosym: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    parser = build_parser(default_format)
-    args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = "pretty"
-    try:
+        args = build_parser(_read_config_format() or "pretty").parse_args(argv)
         text, code = args.func(args)
-    except UsageError as exc:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (UsageError, ValueError, OSError) as exc:
         print(f"assosym: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"assosym: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -12,17 +12,18 @@ One pipeline serves every content: one span enumerator, one row builder
 (deduplicated rows in one canonical order), one elimination kernel and one
 certified-rank routine.  The kernel computes an echelon form over GF(p)
 (dense numpy rows, p a prime near 2^31); its length is the rank mod p.  For
-total degree <= 5 the echelon form, once per content, is back-substituted
-mod p on its free columns, lifted to symmetric residues and checked exactly:
-every consequence row must be the integer combination of the lifted rows at
-its pivot columns.  That proves rank over Q <= rank mod p, and rank mod p <=
-rank over Q always holds, so the ranks agree and the lifted rows are the
-unique reduced echelon form over Q.  An unlucky prime fails the check with
-RankMismatchError instead of giving a wrong answer.  The reduced rows give
-a rewriting map into a quotient basis and from it traces of the
-symmetric-group action.  Degree 6 (30240 multilinear monomials) is rank mod
-p only.  Everything is sequential and deterministic: fixed generation
-order, fixed row and column order, no randomness, no threads.
+total degree <= 5 the echelon form at DEFAULT_PRIME, once per content, is
+back-substituted mod p on its free columns, lifted to symmetric residues and
+checked exactly: every consequence row must be the integer combination of the
+lifted rows at its pivot columns.  That proves rank over Q <= rank mod p, and
+rank mod p <= rank over Q always holds, so the lifted rows are the unique
+reduced echelon form over Q and their number is both ranks; an unlucky prime
+raises RankMismatchError instead of a wrong answer.  Only another requested
+prime is eliminated again.  Degree 6 (30240 multilinear monomials) is rank
+mod p only.  The reduced rows give a rewriting map into a quotient basis and
+from it traces of the symmetric-group action.  Everything is sequential and
+deterministic: fixed generation, row and column order, no randomness, no
+threads.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
@@ -361,11 +362,10 @@ def _lift(echelon: dict, ncols: int, p: int) -> dict[int, dict[int, int]]:
             row -= terms.sum(axis=0)
             row %= p
     lifted = np.where(reduced > p // 2, reduced - p, reduced)
-    out = {}
-    for c in sorted(echelon):
-        nz = np.flatnonzero(lifted[c])
-        out[c] = {c: 1, **{int(free[j]): int(lifted[c, j]) for j in nz}}
-    return out
+    return {
+        c: {c: 1, **{int(free[j]): int(lifted[c, j]) for j in np.flatnonzero(lifted[c])}}
+        for c in sorted(echelon)
+    }
 
 
 def _spans(reduced: dict[int, dict[int, int]], rows: list[dict]) -> bool:
@@ -416,18 +416,21 @@ class QuotientBasis:
         return out
 
 
+def _system(content: tuple[int, ...]) -> tuple:
+    """(ambient, rows) of a component: its monomials and its consequence rows."""
+    ambient = monomials_with_labels(_content_labels(content))
+    return ambient, _consequence_rows(consequence_span_multigraded(content), ambient)
+
+
 @cache
 def _exact_system(content: tuple[int, ...]) -> tuple:
     """(ambient, rows, reduced pivots) of a component of total degree <= 5.
 
-    The echelon form mod DEFAULT_PRIME, lifted, is kept only if it spans
-    every row over Z: then rank over Q <= its length = rank mod p <= rank
-    over Q, and it is the unique reduced echelon form over Q.  Built once
-    per content and shared, read-only, by every rank and basis computation;
-    degree 6 is never lifted or cached.
+    The echelon form mod DEFAULT_PRIME is lifted and kept only if it spans
+    every row over Z; its length is then the rank over Q and mod p.  Built
+    once per content, shared read-only by rank and basis computations.
     """
-    ambient = monomials_with_labels(_content_labels(content))
-    rows = _consequence_rows(consequence_span_multigraded(content), ambient)
+    ambient, rows = _system(content)
     p = DEFAULT_PRIME
     pivots = _lift(_echelon(rows, len(ambient), p), len(ambient), p)
     if not _spans(pivots, rows):
@@ -451,24 +454,21 @@ def quotient_basis(n: int) -> QuotientBasis:
 def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
     """Quotient dimension of one component from its rank modulo a prime.
 
-    Up to total degree 5 the modular rank must equal the rational rank, the
-    length of the exact system's reduced pivots; at degree 6 it stands
-    alone.  A ``second_prime`` must give the same rank as the first.
+    Up to total degree 5 the exact system's length is the rank mod
+    DEFAULT_PRIME; another prime is eliminated and must give that rank.  At
+    degree 6 the modular rank stands alone.  ``second_prime`` must agree.
     """
     primes = [p for p in (prime or DEFAULT_PRIME, second_prime) if p]
     for p in primes:  # a bad modulus fails before any elimination work
         _check_modulus(p)
-    if sum(content) <= 5:
-        ambient, rows, pivots = _exact_system(content)
-    else:
-        ambient = monomials_with_labels(_content_labels(content))
-        rows = _consequence_rows(consequence_span_multigraded(content), ambient)
-        pivots = None
-    ranks = [len(_echelon(rows, len(ambient), p)) for p in primes]
+    exact = sum(content) <= 5
+    ambient, rows, pivots = _exact_system(content) if exact else (*_system(content), None)
+    ranks = [len(pivots) if exact and p == DEFAULT_PRIME else len(_echelon(rows, len(ambient), p))
+             for p in primes]
     rank_p = ranks[0]
     if ranks[-1] != rank_p:
         raise RankMismatchError(f"rank {rank_p} mod {primes[0]} but {ranks[-1]} mod {primes[-1]}")
-    if pivots is not None and len(pivots) != rank_p:
+    if exact and len(pivots) != rank_p:
         raise RankMismatchError(
             f"modular rank {rank_p} != rational rank {len(pivots)}; retry with a "
             "different prime"

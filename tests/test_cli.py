@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -97,6 +98,35 @@ def test_sequences_cocharacters(capsys):
     rows = json.loads(out)["rows"]
     # canonical class order for n=3 is (3), (2,1), (1,1,1)
     assert rows[2]["cocharacter"] == ["1", "1", "7"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("sequences", "25"), "7639339dea90a8b77e6da7fae2e039b9e33b56f1f5ec098635fa957f5600db29"),
+    (("sequences", "25", "--format", "csv"),
+     "dd096ba18c6b9a633b9cced58bb22e9d825f98971ee0e8845ba592e879f19fc3"),
+    (("sequences", "12", "--cocharacters"),
+     "4ee843d74ca450992b98d15b9dcfe18ba2f41403cc0d96ac1393ecb34240063b"),
+    (("sequences", "12", "--cocharacters", "--format", "csv"),
+     "b9279183c4a33093e16681dbd9a0ac97d73d0080cd541896ba05e618449c9348"),
+    (("sequences", "12", "--cocharacters", "--format", "json"),
+     "24b5eff44d634d1d53290202faa069817aa3a50581f5a4b60d28368240381071"),
+])
+def test_sequences_output_is_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sequences_pretty_layout(capsys):
+    _, out, _ = run_cli(capsys, "sequences", "25")
+    # data rows are stripped, the header keeps the padding of wide columns
+    assert out.splitlines()[0] == "n   codimension                 colength        involutions   "
+    assert out.splitlines()[25] == "25  15511210043330986017554106  95680443760752  95680443760576"
+    _, out, _ = run_cli(capsys, "sequences", "12", "--cocharacters")
+    lines = out.splitlines()
+    assert lines[0] == "n   codimension  colength  involutions  cocharacter"
+    assert lines[3] == "3   7            5         4            (1, 1, 7)"
+    assert lines[11] == "11  39918781     35732     35696        -"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -236,6 +266,25 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("case", ["out", "dump", "config-dir", "config-bytes"])
+def test_io_failures_are_usage_errors(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    missing = str(tmp_path / "no-such-dir" / "x")
+    argv = ["decompose", "4"]
+    if case == "out":
+        argv += ["--out", missing]
+    elif case == "dump":
+        argv = ["verify", "--n", "3", "--dump-matrix", missing]
+    elif case == "config-dir":
+        (tmp_path / "assosym.cfg").mkdir()
+    else:
+        (tmp_path / "assosym.cfg").write_bytes(b"format=\xff\xfe\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("assosym: error:")
+    assert "Traceback" not in out + err
 
 
 def test_verify_reports_are_byte_identical_across_hash_seeds(tmp_path):

@@ -192,6 +192,34 @@ def test_unliftable_default_prime_raises(monkeypatch):
         _exact_system.cache_clear()
 
 
+@pytest.mark.parametrize("call, arg, kwargs, echelons, lifts", [
+    (quotient_dim, 5, {}, 1, 1),
+    (quotient_dim, 5, {"prime": DEFAULT_PRIME}, 1, 1),
+    (quotient_dim, 3, {"second_prime": 1_000_003}, 2, 1),
+    (quotient_dim, 4, {"prime": 3}, 2, 1),
+    (quotient_dim_multigraded, (4, 1, 1), {}, 1, 0),  # degree 6: rank only
+])
+def test_one_elimination_per_content_and_prime(monkeypatch, call, arg, kwargs, echelons, lifts):
+    counts = {"_echelon": 0, "_lift": 0}
+
+    def counted(name):
+        fn = getattr(oracle, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(oracle, name, counted(name))
+    _exact_system.cache_clear()
+    try:
+        call(arg, **kwargs)
+    finally:
+        _exact_system.cache_clear()
+    assert counts == {"_echelon": echelons, "_lift": lifts}
+
+
 def test_consequence_span_guard():
     with pytest.raises(ValueError):
         consequence_span(1)
