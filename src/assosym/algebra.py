@@ -21,7 +21,7 @@ from .characters import (
     restrict_to_alternating,
 )
 from .decomposition import GROUP_GENERAL_LINEAR, GROUP_SYMMETRIC, Decomposition, Label
-from .partitions import binomial, generate_partitions, multinomial, specht_dim
+from .partitions import _specht_dim, binomial, generate_partitions, multinomial
 
 
 def two_row_multiplicity(n: int, lam2: int) -> int:
@@ -50,7 +50,7 @@ def sn_decomposition(n: int) -> Decomposition:
         raise ValueError("n must be positive")
     terms: dict[Label, int] = {}
     for lam in generate_partitions(n):
-        mult = specht_dim(lam)
+        mult = _specht_dim(lam)
         if len(lam) <= 2:
             mult += two_row_multiplicity(n, lam[1] if len(lam) == 2 else 0)
         if mult:

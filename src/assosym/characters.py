@@ -20,6 +20,7 @@ from typing import NamedTuple
 from .decomposition import GROUP_ALTERNATING, GROUP_SYMMETRIC, Decomposition, Label
 from .partitions import (
     Partition,
+    _beta,
     _conjugate,
     check_partition,
     generate_partitions,
@@ -48,7 +49,7 @@ def _mn(lam: Partition, mu: Partition) -> int:
         return 1 if not lam else 0
     k, rest = mu[0], mu[1:]
     ell = len(lam)
-    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
+    beta = _beta(lam, ell)
     beta_set = set(beta)
     total = 0
     for b in beta:
@@ -56,11 +57,8 @@ def _mn(lam: Partition, mu: Partition) -> int:
         if nb < 0 or nb in beta_set:
             continue
         height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((c for c in beta if c != b), reverse=True)
-        # insert nb in place and convert back to a partition
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        new_lam = tuple(new_beta[i] - (ell - 1 - i) for i in range(ell))
+        new_beta = sorted((nb if c == b else c for c in beta), reverse=True)
+        new_lam = tuple(c - (ell - 1 - i) for i, c in enumerate(new_beta))
         while new_lam and new_lam[-1] == 0:
             new_lam = new_lam[:-1]
         total += (-1) ** height * _mn(new_lam, rest)

@@ -120,32 +120,26 @@ def cmd_decompose(args) -> tuple[str, int]:
     symbol, dec = _decompose_result(args.n, args.group, args.dim)
     if args.format == "json":
         return dec.to_json(), EXIT_OK
+    dims = [_term_dimension(dec, label, args.dim) for label in dec.terms]
     if args.format == "csv":
-        rows = []
-        for label, mult in dec.terms.items():
-            dim = _term_dimension(dec, label, args.dim)
-            rows.append([
-                " ".join(str(p) for p in label.partition),
-                label.sign,
-                str(mult),
-                "" if dim is None else str(dim),
-            ])
+        rows = [
+            [" ".join(str(p) for p in label.partition), label.sign, str(mult),
+             "" if dim is None else str(dim)]
+            for (label, mult), dim in zip(dec.terms.items(), dims)
+        ]
         return _csv_text(["partition", "sign", "mult", "dim"], rows), EXIT_OK
     lines = [f"P_{args.n} = {dec.render(symbol)}"]
-    for label, mult in dec.terms.items():
-        dim = _term_dimension(dec, label, args.dim)
+    for (label, mult), dim in zip(dec.terms.items(), dims):
         dim_text = "" if dim is None else f", dim {dim}"
         lines.append(f"  {label.render()}: mult {mult}{dim_text}")
     if dec.group == GROUP_SYMMETRIC:
-        lines.append(f"codimension: {dec.total_dimension()}")
+        lines.append(f"codimension: {sum(m * d for m, d in zip(dec.terms.values(), dims))}")
         lines.append(f"colength: {dec.total_multiplicity()}")
     elif dec.group == GROUP_ALTERNATING and args.dim is None:
+        # counts d_lambda on each split tag, not the A_n-irreducible d_lambda/2
         lines.append(f"total dimension: {dec.total_dimension()}")
     elif dec.group == GROUP_GENERAL_LINEAR:
-        total = sum(
-            mult * weyl_dim(label.partition, args.dim)
-            for label, mult in dec.terms.items()
-        )
+        total = sum(m * d for m, d in zip(dec.terms.values(), dims))
         lines.append(f"total dimension (dim V = {args.dim}): {total}")
     return "\n".join(lines) + "\n", EXIT_OK
 

@@ -2,7 +2,9 @@
 
 A label is a partition, optionally tagged '+' or '-' when a self-conjugate
 module splits on restriction to the alternating group.  Decompositions are
-immutable once built and serialize to the JSON layout::
+immutable once built: ``terms`` is a read-only mapping in canonical order,
+partitions as in ``generate_partitions`` and the tags of one partition as
+'', '+', '-'.  They serialize to the JSON layout::
 
     {"n": 4, "group": "S",
      "terms": [{"partition": [4], "mult": "3"}, ...],
@@ -13,10 +15,12 @@ JSON consumers with 64-bit integers.
 """
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .partitions import Partition, check_partition, is_self_conjugate, specht_dim
+from .partitions import Partition, _conjugate, _specht_dim, check_partition
 
 GROUP_SYMMETRIC = "S"
 GROUP_ALTERNATING = "A"
@@ -46,11 +50,12 @@ class Decomposition:
 
     n: int
     group: str
-    terms: dict[Label, int] = field(default_factory=dict)
+    terms: Mapping[Label, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.group not in _GROUPS:
             raise ValueError(f"unknown group {self.group!r}")
+        terms = {}
         for label, mult in self.terms.items():
             lam = check_partition(label.partition)
             if sum(lam) != self.n:
@@ -62,8 +67,12 @@ class Decomposition:
                     raise ValueError("split tags only occur for alternating decompositions")
                 if label.sign not in ("+", "-"):
                     raise ValueError(f"bad split tag {label.sign!r}")
-                if not is_self_conjugate(lam):
+                if _conjugate(lam) != lam:
                     raise ValueError(f"split tag on non-self-conjugate {lam}")
+            terms[Label(lam, label.sign)] = mult
+        ordered = sorted(terms.items(), key=lambda item: item[0].sign)
+        ordered.sort(key=lambda item: item[0].partition, reverse=True)
+        object.__setattr__(self, "terms", MappingProxyType(dict(ordered)))
 
     def multiplicity(self, partition, sign: str = "") -> int:
         return self.terms.get(Label(tuple(partition), sign), 0)
@@ -80,7 +89,7 @@ class Decomposition:
         dimension d_lambda, and each halved '+'/'-' unit accounts for both
         split halves, d_lambda/2 + d_lambda/2.
         """
-        return sum(mult * specht_dim(label.partition) for label, mult in self.terms.items())
+        return sum(mult * _specht_dim(label.partition) for label, mult in self.terms.items())
 
     def to_json_dict(self) -> dict:
         terms = []

@@ -31,7 +31,6 @@ the left-to-right label sequence.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
 from math import gcd, isqrt
@@ -402,13 +401,13 @@ class QuotientBasis:
     def rewrite(self, monomial) -> dict:
         if monomial in self.rewrite_map:
             return self.rewrite_map[monomial]
-        return {monomial: Fraction(1)}
+        return {monomial: 1}
 
     def rewrite_combination(self, combination: dict) -> dict:
         out: dict = {}
         for m, coeff in combination.items():
             for b, c in self.rewrite(m).items():
-                nv = out.get(b, Fraction(0)) + coeff * c
+                nv = out.get(b, 0) + coeff * c
                 if nv:
                     out[b] = nv
                 else:
@@ -447,7 +446,7 @@ def quotient_basis(n: int) -> QuotientBasis:
     basis = tuple(m for i, m in enumerate(ambient) if i not in pivots)
     rewrite_map = {}
     for c, row in pivots.items():
-        rewrite_map[ambient[c]] = {ambient[k]: Fraction(-v) for k, v in row.items() if k != c}
+        rewrite_map[ambient[c]] = {ambient[k]: -v for k, v in row.items() if k != c}
     return QuotientBasis(n=n, monomials=basis, rewrite_map=rewrite_map)
 
 
@@ -526,26 +525,19 @@ def relabel(monomial, images: tuple[int, ...]):
     return (relabel(monomial[0], images), relabel(monomial[1], images))
 
 
-def permutation_trace(n: int, images: tuple[int, ...]) -> Fraction:
+def permutation_trace(n: int, images: tuple[int, ...]) -> int:
     """Trace of a permutation acting on the degree-n quotient."""
     qb = quotient_basis(n)
-    total = Fraction(0)
-    for b in qb.monomials:
-        total += qb.rewrite(relabel(b, images)).get(b, 0)
-    return total
+    return sum(qb.rewrite(relabel(b, images)).get(b, 0) for b in qb.monomials)
 
 
 def quotient_character(n: int) -> CharacterVector:
     """Exact character of the quotient, one trace per cycle type."""
     if not 2 <= n <= 5:
         raise ValueError("quotient_character is limited to 2 <= n <= 5")
-    values = []
-    for mu in generate_partitions(n):
-        trace = permutation_trace(n, class_representative(mu))
-        if trace.denominator != 1:
-            raise MultiplicityError(f"non-integral trace {trace} at class {mu}")
-        values.append(int(trace))
-    return CharacterVector(n, tuple(values))
+    return CharacterVector(n, tuple(
+        permutation_trace(n, class_representative(mu)) for mu in generate_partitions(n)
+    ))
 
 
 def oracle_multiplicities(n: int) -> Decomposition:

@@ -1,14 +1,15 @@
 """Integer partitions, Young diagrams and the dimension formulas built on them.
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
-tuple is the (valid) partition of 0.  All counts are exact Python integers.
-Every function here is pure, so results are safe to share between threads.
-Public functions validate their partition argument once; the underscored
-helpers they call take it as already validated.
+tuple is the (valid) partition of 0.  Both dimensions of a shape come from its
+beta-numbers (first-column hook lengths): d_lambda by Frobenius' formula and
+the GL_m dimension by Weyl's.  All counts are exact Python integers and every
+function is pure.  Public functions validate their partition argument once;
+the underscored helpers they call take it as already validated.
 """
 
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 Partition = tuple[int, ...]
 
@@ -63,34 +64,40 @@ def is_self_conjugate(lam: Partition) -> bool:
 
 def hook_lengths(lam: Partition) -> list[list[int]]:
     """Hook length of every cell, row by row."""
-    return _hook_lengths(check_partition(lam))
-
-
-def _hook_lengths(lam: Partition) -> list[list[int]]:
+    lam = check_partition(lam)
     conj = _conjugate(lam)
-    return [
-        [lam[i] - j + conj[j] - i - 1 for j in range(lam[i])]
-        for i in range(len(lam))
-    ]
+    return [[p - j + conj[j] - i - 1 for j in range(p)] for i, p in enumerate(lam)]
+
+
+def _beta(lam: Partition, rows: int) -> list[int]:
+    """Beta-numbers lam_i + rows - 1 - i of lam padded with zeros to ``rows`` rows."""
+    return [p + rows - 1 - i for i, p in enumerate(lam + (0,) * (rows - len(lam)))]
+
+
+def _over_hooks(lam: Partition, num: int) -> int:
+    """num over the hook product of lam, prod b_i! / prod_{i<j} (b_i - b_j) by _beta."""
+    beta = _beta(lam, len(lam))
+    den = 1
+    for i, b in enumerate(beta):
+        den *= factorial(b)
+        for c in beta[i + 1:]:
+            num *= b - c
+    d, rem = divmod(num, den)
+    assert rem == 0
+    return d
 
 
 def specht_dim(lam: Partition) -> int:
-    """Number of standard Young tableaux of shape lam (hook length formula).
+    """Number d_lambda of standard Young tableaux of shape lam (Frobenius' formula).
 
-    This is the dimension of the irreducible S_n-module labelled by lam.
-    The empty partition counts 1 by convention.
+    This is the dimension of the irreducible S_n-module labelled by lam.  The
+    empty partition counts 1 by convention.
     """
-    lam = check_partition(lam)
-    n = sum(lam)
-    if n == 0:
-        return 1
-    prod = 1
-    for row in _hook_lengths(lam):
-        for h in row:
-            prod *= h
-    d, rem = divmod(factorial(n), prod)
-    assert rem == 0
-    return d
+    return _specht_dim(check_partition(lam))
+
+
+def _specht_dim(lam: Partition) -> int:
+    return _over_hooks(lam, factorial(sum(lam)))
 
 
 def syt_count_bruteforce(lam: Partition) -> int:
@@ -123,24 +130,17 @@ def syt_count_bruteforce(lam: Partition) -> int:
 def weyl_dim(lam: Partition, m: int) -> int:
     """Dimension of the irreducible polynomial GL_m-module of highest weight lam.
 
-    Hook-content formula: prod over cells (i, j) of (m + j - i) / hook(i, j).
-    Returns 0 when the diagram has more than m rows.
+    Weyl's formula prod_{i<j} (b_i - b_j) / prod_{i<j} (j - i) over the
+    beta-numbers b = _beta(lam, m).  Cancelling the pairs of zero rows leaves
+    prod over cells (i, j) of (m + j - i) over the hook product, whose cost
+    does not grow with m.  Returns 0 when the diagram has more than m rows.
     """
     lam = check_partition(lam)
     if m < 1:
         raise ValueError("m must be positive")
     if len(lam) > m:
         return 0
-    num = 1
-    den = 1
-    hooks = _hook_lengths(lam)
-    for i in range(len(lam)):
-        for j in range(lam[i]):
-            num *= m + j - i
-            den *= hooks[i][j]
-    d, rem = divmod(num, den)
-    assert rem == 0
-    return d
+    return _over_hooks(lam, prod(m + j - i for i, p in enumerate(lam) for j in range(p)))
 
 
 def two_row_partitions(n: int) -> list[Partition]:

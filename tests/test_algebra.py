@@ -254,5 +254,21 @@ def test_decomposition_from_json_rejects_repeated_labels():
     assert Decomposition.from_json_dict(split).total_multiplicity() == 2
 
 
+def test_decomposition_terms_are_read_only_and_canonical():
+    for dec in (sn_decomposition(6), an_decomposition(6), an_gl_decomposition(6, 3)):
+        with pytest.raises(TypeError):
+            dec.terms[Label((6,))] = 7
+        data = dec.to_json_dict()
+        data["terms"].reverse()
+        assert Decomposition.from_json_dict(data).to_json() == dec.to_json()
+    # canonical order: partitions as generate_partitions, then tags '', '+', '-'
+    mixed = Decomposition(4, "A", {
+        Label((2, 2), "-"): 1, Label((3, 1)): 7, Label((2, 2), "+"): 1, Label((4,)): 4,
+    })
+    assert list(mixed.terms) == [
+        Label((4,)), Label((3, 1)), Label((2, 2), "+"), Label((2, 2), "-"),
+    ]
+
+
 def test_render_is_paper_style():
     assert sn_decomposition(3).render() == "2*S^{(3)} + 2*S^{(2,1)} + 1*S^{(1,1,1)}"

@@ -117,6 +117,30 @@ def test_sequences_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ((), "c54b086a1f81cea8e9542bb8e57ca45a5449a370de3e1110209ece21c16bf2f1"),
+    (("--format", "json"), "b7ecf04ae9596808b1b113bb39034e98e8ccb2d1d0fd692fff9c4f8275bd75c9"),
+    (("--format", "csv"), "68c1f5fc08a9cded82a05997de89151f2988dfb6ad0c2a51e47d4c441212cca5"),
+    (("--group", "A"), "d5ad7154282e8596c5d9b02e0865ec45cdbc8b2b6e1d83ad12f84189f004e126"),
+    (("--group", "A", "--format", "csv"),
+     "353b9242dd76e9fc941967c15da9a30c7ee45308f092d5f1a13e29158a280375"),
+    (("--group", "A", "--dim", "3"),
+     "a613f86699dc524d0e17d382c8e81a0d7a90be22379d5ec64905a564fd52e208"),
+    (("--group", "A", "--dim", "3", "--format", "csv"),
+     "14d8d144dcf1ecc902e520bcb1eec024af2ffa7913f803af7221478ce1091312"),
+    (("--group", "GL", "--dim", "3"),
+     "5cfe0c4e3c50b7458154a05c6eb61041aaea43f5c7a1b241ca24d70e0f2153f7"),
+    (("--group", "GL", "--dim", "3", "--format", "csv"),
+     "71857387c4ce6c2ef85addc4c0fcc8ab3a5d2a19ce2433758f4f459fd1e11f12"),
+    (("--group", "GL", "--dim", "3", "--format", "json"),
+     "2f71ba3bfc1972c052d5024a52235032ec9e162ae515725a5c2f104485ed1a61"),
+])
+def test_decompose_output_is_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, "decompose", "20", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sequences_pretty_layout(capsys):
     _, out, _ = run_cli(capsys, "sequences", "25")
     # data rows are stripped, the header keeps the padding of wide columns

@@ -148,6 +148,27 @@ def test_weyl_dim_counts_semistandard_tableaux():
                 assert weyl_dim(lam, m) == semistandard_count(lam, m)
 
 
+def test_dimensions_match_hook_products_on_large_shapes():
+    # The hook length and hook-content products are the independent reference
+    # for the beta-number formulas, on every shape of 13 <= n <= 24.
+    shapes = 0
+    for n in range(13, 25):
+        for lam in generate_partitions(n):
+            shapes += 1
+            hook_product = 1
+            for row in hook_lengths(lam):
+                for h in row:
+                    hook_product *= h
+            assert specht_dim(lam) == factorial(n) // hook_product
+            for m in range(1, 6):
+                contents = 1
+                for i, part in enumerate(lam):
+                    for j in range(part):
+                        contents *= m + j - i
+                assert weyl_dim(lam, m) == contents // hook_product
+    assert shapes == 7066
+
+
 def test_two_row_partitions():
     assert two_row_partitions(1) == [(1,)]
     assert two_row_partitions(4) == [(4,), (3, 1), (2, 2)]
