@@ -10,11 +10,12 @@ trivial modules producing two-row Specht corrections.  This module turns
 all of that into executable, exact arithmetic.
 """
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from math import factorial
 
 from .characters import (
     CharacterVector,
+    _involution_counts,
     _merge_conjugate_pairs,
     involution_count,
     irreducible_character,
@@ -159,13 +160,28 @@ def colength(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    inv = involution_count(n)
+    return _colength(n, involution_count(n))
+
+
+def _colength(n: int, inv: int) -> int:
+    """colength(n) given inv = inv(S_n)."""
     if n <= 3:
         return (1 if n == 3 else 0) + inv
     k = n // 2
     if n % 2 == 0:
         return k * k + 2 * k - 5 + inv
     return k * k + 3 * k - 4 + inv
+
+
+def _sequences(max_n: int):
+    """Yield (n, codimension, colength, involutions) for n = 1..max_n.
+
+    inv(S_n) is read off one running recurrence, so the whole table costs
+    linear time, not one O(n) count per row.
+    """
+    invs = islice(_involution_counts(), 1, max_n + 1)
+    for n, inv in enumerate(invs, start=1):
+        yield n, codimension(n), _colength(n, inv), inv
 
 
 def basis_count_direct(n: int, r: int) -> int:

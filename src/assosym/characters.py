@@ -14,6 +14,7 @@ the cache is only ever appended to, so concurrent readers are safe.
 
 from fractions import Fraction
 from functools import cache
+from itertools import count, islice
 from math import factorial
 from typing import NamedTuple
 
@@ -125,6 +126,14 @@ def inner_product(phi: CharacterVector, psi: CharacterVector) -> Fraction:
     return Fraction(total, factorial(phi.n))
 
 
+def _involution_counts():
+    """Yield I(0), I(1), I(2), ... by I(n + 1) = I(n) + n I(n - 1)."""
+    prev, cur = 0, 1  # I(-1) taken as 0, I(0)
+    for n in count():
+        yield cur
+        prev, cur = cur, cur + n * prev
+
+
 def involution_count(n: int) -> int:
     """Number of permutations squaring to the identity in S_n.
 
@@ -132,10 +141,7 @@ def involution_count(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    prev, cur = 1, 1
-    for m in range(2, n + 1):
-        prev, cur = cur, cur + (m - 1) * prev
-    return cur
+    return next(islice(_involution_counts(), n, None))
 
 
 def restrict_to_alternating(dec: Decomposition) -> Decomposition:

@@ -151,12 +151,12 @@ def cmd_sequences(args) -> tuple[str, int]:
     if args.max_n < 1:
         raise UsageError("max_n must be >= 1")
     rows = []
-    for n in range(1, args.max_n + 1):
+    for n, codim, colength, involutions in algebra._sequences(args.max_n):
         row = {
             "n": n,
-            "codimension": _decimal(algebra.codimension(n)),
-            "colength": _decimal(algebra.colength(n)),
-            "involutions": _decimal(algebra.involution_count(n)),
+            "codimension": _decimal(codim),
+            "colength": _decimal(colength),
+            "involutions": _decimal(involutions),
         }
         if args.cocharacters and n <= 10:
             row["cocharacter"] = [_decimal(v) for v in algebra.cocharacter(n).values]
@@ -253,7 +253,9 @@ def _verify_checks(args) -> list[dict]:
         multidegree = _parse_multidegree(args.multidegree)
         if sum(multidegree) == 6 and not args.allow_n6:
             raise UsageError("total degree 6 is a long modular-only run; pass --allow-n6")
-        actual = oracle.quotient_dim_multigraded(multidegree, prime=args.prime)
+        actual = oracle.quotient_dim_multigraded(
+            multidegree, prime=args.prime, second_prime=args.second_prime
+        )
         expected = algebra.multigraded_dim(multidegree)
         checks.append({
             "name": f"multigraded dimension, degree {','.join(map(str, multidegree))}",

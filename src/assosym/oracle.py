@@ -21,9 +21,18 @@ reduced echelon form over Q and their number is both ranks; an unlucky prime
 raises RankMismatchError instead of a wrong answer.  Only another requested
 prime is eliminated again.  Degree 6 (30240 multilinear monomials) is rank
 mod p only.  The reduced rows give a rewriting map into a quotient basis and
-from it traces of the symmetric-group action.  Everything is sequential and
-deterministic: fixed generation, row and column order, no randomness, no
-threads.
+from it traces of the symmetric-group action.
+
+Degree 6, whose echelon form is used only for its length, orders its
+columns label-major instead: by label sequence, then tree shape.  Every
+consequence row has four +-1 terms, two label sequences under two tree
+shapes each, so this order puts the two shapes of each label sequence side
+by side and the column sweep creates far less fill-in.  Permuting columns
+does not change the rank, so every dimension and error stays the same; the
+reduced echelon form does depend on the column order, so the exact system
+of degree <= 5 keeps the canonical one (another prime there eliminates the
+exact system's rows again).  Everything is sequential and deterministic:
+fixed generation, row and column order, no randomness, no threads.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
@@ -115,6 +124,17 @@ def monomials_with_labels(labels: tuple[int, ...]) -> tuple:
     return tuple(
         _fill(t, arr) for t in _templates(n) for arr in arrangements
     )
+
+
+def _label_major(labels: tuple[int, ...]) -> list:
+    """The monomials over a label multiset, sorted by (leaf_labels, shape_key).
+
+    The canonical order has one block per tree shape, each listing the label
+    arrangements in order, so this order is its transpose.
+    """
+    ambient = monomials_with_labels(labels)
+    step = len(ambient) // len(_templates(len(labels)))  # arrangements per shape
+    return [m for j in range(step) for m in ambient[j::step]]
 
 
 def enumerate_multilinear(n: int) -> list:
@@ -283,13 +303,17 @@ def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, tuple[np.ndarray
     block becomes the new pivot (stored sparsely, tail scaled to pivot 1).
     Each pivot sits at the leftmost column of its row, and a tail may still
     touch later pivot columns.  Sequential and deterministic; the block size
-    only amortizes overhead.
+    only amortizes overhead.  The rank does not depend on the column order,
+    since permuting columns multiplies the matrix by an invertible one, but
+    the fill-in does: degree 6 passes label-major columns, which put the two
+    tree shapes of each label sequence in a row side by side.
     """
     _check_modulus(p)
     piv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     pending = np.zeros(ncols, dtype=bool)
     for start in range(0, len(rows), _CHUNK_ROWS):
         block = rows[start:start + _CHUNK_ROWS]
+        col = prow = None  # views would keep the previous block resident
         mat = np.zeros((len(block), ncols), dtype=np.int64, order="F")
         for i, row in enumerate(block):
             for c, v in row.items():
@@ -416,20 +440,27 @@ class QuotientBasis:
 
 
 def _system(content: tuple[int, ...]) -> tuple:
-    """(ambient, rows) of a component: its monomials and its consequence rows."""
-    ambient = monomials_with_labels(_content_labels(content))
-    return ambient, _consequence_rows(consequence_span_multigraded(content), ambient)
+    """(columns, rows) of a degree-6 component, whose rank alone is used.
+
+    The columns are label-major and the span is built straight against
+    them, so no permuted copy of the rows exists.  Rows keep the canonical
+    row order.
+    """
+    columns = _label_major(_content_labels(content))
+    return columns, _consequence_rows(consequence_span_multigraded(content), columns)
 
 
 @cache
 def _exact_system(content: tuple[int, ...]) -> tuple:
     """(ambient, rows, reduced pivots) of a component of total degree <= 5.
 
-    The echelon form mod DEFAULT_PRIME is lifted and kept only if it spans
-    every row over Z; its length is then the rank over Q and mod p.  Built
-    once per content, shared read-only by rank and basis computations.
+    Columns are the component's monomials in canonical order.  The echelon
+    form mod DEFAULT_PRIME is lifted and kept only if it spans every row over
+    Z; its length is then the rank over Q and mod p.  Built once per content,
+    shared read-only by rank and basis computations.
     """
-    ambient, rows = _system(content)
+    ambient = monomials_with_labels(_content_labels(content))
+    rows = _consequence_rows(consequence_span_multigraded(content), ambient)
     p = DEFAULT_PRIME
     pivots = _lift(_echelon(rows, len(ambient), p), len(ambient), p)
     if not _spans(pivots, rows):
@@ -455,7 +486,8 @@ def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
 
     Up to total degree 5 the exact system's length is the rank mod
     DEFAULT_PRIME; another prime is eliminated and must give that rank.  At
-    degree 6 the modular rank stands alone.  ``second_prime`` must agree.
+    degree 6 the modular rank over label-major columns stands alone.
+    ``second_prime`` must agree.
     """
     primes = [p for p in (prime or DEFAULT_PRIME, second_prime) if p]
     for p in primes:  # a bad modulus fails before any elimination work
@@ -488,18 +520,21 @@ def quotient_dim(n: int, prime: int | None = None, second_prime: int | None = No
     return _certified_dim((1,) * n, prime, second_prime)
 
 
-def quotient_dim_multigraded(content, prime: int | None = None) -> int:
+def quotient_dim_multigraded(
+    content, prime: int | None = None, second_prime: int | None = None
+) -> int:
     """Dimension of the component with the given positive multidegree.
 
     Rationally certified for total degree <= 5; total degree 6 runs the
-    modular path only, like the multilinear degree-6 case.
+    modular path only, like the multilinear degree-6 case (pass
+    ``second_prime`` to cross-check two primes).
     """
     content = tuple(int(c) for c in content)
     if not content or any(c < 1 for c in content):
         raise ValueError(f"multidegree parts must be positive, got {content}")
     if sum(content) > 6:
         raise ValueError("quotient_dim_multigraded is limited to total degree <= 6")
-    return _certified_dim(content, prime, None)
+    return _certified_dim(content, prime, second_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -234,11 +234,20 @@ def test_verify_rejects_a_composite_modulus(capsys):
         ("verify", "--n", "4", "--prime", "1000000"),
         ("verify", "--n", "3", "--second-prime", "1000000"),
         ("verify", "--multidegree", "4,1,1", "--allow-n6", "--prime", "1000000"),
+        ("verify", "--multidegree", "2,1,1", "--second-prime", "1000000"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert "1000000 is not prime" in err
+
+
+def test_verify_multidegree_checks_the_second_prime(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--multidegree", "2,1,1", "--second-prime", "1000003"
+    )
+    assert code == 0
+    assert "PASS: multigraded dimension, degree 2,1,1: 16 = 16" in out
 
 
 def test_verify_degree_6_needs_opt_in(capsys):

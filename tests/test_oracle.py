@@ -19,6 +19,7 @@ from assosym.oracle import (
     identity_generators,
     leaf_labels,
     monomial_key,
+    monomials_with_labels,
     oracle_multiplicities,
     permutation_trace,
     quotient_basis,
@@ -26,12 +27,15 @@ from assosym.oracle import (
     quotient_dim,
     quotient_dim_multigraded,
     relabel,
+    shape_key,
     write_consequence_matrix,
     _consequence_rows,
     _echelon,
     _exact_system,
+    _label_major,
     _lift,
     _spans,
+    _system,
 )
 from assosym.partitions import generate_partitions
 
@@ -198,6 +202,7 @@ def test_unliftable_default_prime_raises(monkeypatch):
     (quotient_dim, 3, {"second_prime": 1_000_003}, 2, 1),
     (quotient_dim, 4, {"prime": 3}, 2, 1),
     (quotient_dim_multigraded, (4, 1, 1), {}, 1, 0),  # degree 6: rank only
+    (quotient_dim_multigraded, (2, 1, 1), {"second_prime": 1_000_003}, 2, 1),
 ])
 def test_one_elimination_per_content_and_prime(monkeypatch, call, arg, kwargs, echelons, lifts):
     counts = {"_echelon": 0, "_lift": 0}
@@ -273,22 +278,53 @@ def test_quotient_dim_multigraded_examples():
         quotient_dim_multigraded((4, 3))
 
 
-def test_quotient_dim_multigraded_matches_formula_small():
-    def positive_contents(total):
-        for r in range(1, total + 1):
-            def go(rem, length):
-                if length == 1:
-                    yield (rem,)
-                    return
-                for first in range(1, rem - length + 2):
-                    for rest in go(rem - first, length - 1):
-                        yield (first,) + rest
-            if r <= total:
-                yield from go(total, r)
+def positive_contents(total):
+    """Every content of the given total degree: compositions into positive parts."""
+    for r in range(1, total + 1):
+        def go(rem, length):
+            if length == 1:
+                yield (rem,)
+                return
+            for first in range(1, rem - length + 2):
+                for rest in go(rem - first, length - 1):
+                    yield (first,) + rest
+        yield from go(total, r)
 
+
+def test_quotient_dim_multigraded_matches_formula_small():
     for total in range(1, 5):
         for content in positive_contents(total):
             assert quotient_dim_multigraded(content) == multigraded_dim(content)
+
+
+@pytest.mark.parametrize("content", [(6,), (5, 1), (4, 2), (3, 3), (4, 1, 1)])
+def test_quotient_dim_multigraded_matches_formula_degree_6(content):
+    assert quotient_dim_multigraded(content) == multigraded_dim(content)
+
+
+def test_label_major_order_sorts_by_labels_then_shape():
+    for labels in ((1, 2, 3), (1, 1, 2, 3), (1, 2, 3, 4, 5), (1, 1, 1, 2, 2, 3)):
+        ambient = monomials_with_labels(labels)
+        expected = sorted(ambient, key=lambda m: (leaf_labels(m), shape_key(m)))
+        assert _label_major(labels) == expected
+
+
+def test_label_major_rank_equals_the_exact_rank():
+    contents = [c for total in range(1, 6) for c in positive_contents(total)]
+    assert len(contents) == 31
+    for content in contents:
+        columns, rows = _system(content)
+        assert len(_echelon(rows, len(columns), 1_000_003)) == len(_exact_system(content)[2])
+
+
+def test_label_major_rank_equals_the_canonical_rank_at_degree_6():
+    content = (3, 2, 1)
+    canonical = monomials_with_labels(oracle._content_labels(content))
+    columns, rows = _system(content)
+    canonical_rows = _consequence_rows(consequence_span_multigraded(content), canonical)
+    rank = len(_echelon(rows, len(columns), DEFAULT_PRIME))
+    assert rank == len(_echelon(canonical_rows, len(canonical), DEFAULT_PRIME))
+    assert rank == len(canonical) - multigraded_dim(content)
 
 
 def test_quotient_basis_size_and_idempotence():
