@@ -23,9 +23,9 @@ from .partitions import (
     Partition,
     _beta,
     _conjugate,
+    _specht_dim,
     check_partition,
     generate_partitions,
-    specht_dim,
 )
 
 CycleType = Partition
@@ -202,5 +202,9 @@ def alternating_label_dimension(label: Label) -> int:
 
     d_lambda for a merged conjugate-pair label, d_lambda/2 for a split one.
     """
-    d = specht_dim(label.partition)
+    return _alternating_label_dimension(Label(check_partition(label.partition), label.sign))
+
+
+def _alternating_label_dimension(label: Label) -> int:
+    d = _specht_dim(label.partition)
     return d // 2 if label.sign else d

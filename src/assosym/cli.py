@@ -19,14 +19,14 @@ import sys
 from decimal import Decimal
 
 from . import algebra, oracle
-from .characters import alternating_label_dimension
+from .characters import _alternating_label_dimension
 from .decomposition import (
     GROUP_ALTERNATING,
     GROUP_GENERAL_LINEAR,
     GROUP_SYMMETRIC,
     Decomposition,
 )
-from .partitions import specht_dim, weyl_dim
+from .partitions import _specht_dim, weyl_dim
 
 CONFIG_NAME = "assosym.cfg"
 FORMATS = ("pretty", "json", "csv")
@@ -96,11 +96,11 @@ def _csv_text(header, rows) -> str:
 
 def _term_dimension(dec: Decomposition, label, dim_v: int | None):
     if dec.group == GROUP_SYMMETRIC:
-        return specht_dim(label.partition)
+        return _specht_dim(label.partition)
     if dec.group == GROUP_GENERAL_LINEAR:
         return weyl_dim(label.partition, dim_v)
     if dec.group == GROUP_ALTERNATING and dim_v is None:
-        return alternating_label_dimension(label)
+        return _alternating_label_dimension(label)
     return None  # A-Weyl module dimensions are not computed
 
 

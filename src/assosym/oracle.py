@@ -8,31 +8,30 @@ with leaves labelled bijectively by 1..n.  The defining relations
 component is spanned by every substitution instance g(u1, u2, u3) of a
 generator, embedded in a one-hole monomial context over the remaining labels.
 
-One pipeline serves every content: one span enumerator, one row builder
-(deduplicated rows in one canonical order), one elimination kernel and one
-certified-rank routine.  The kernel computes an echelon form over GF(p)
-(dense numpy rows, p a prime near 2^31); its length is the rank mod p.  For
-total degree <= 5 the echelon form at DEFAULT_PRIME, once per content, is
-back-substituted mod p on its free columns, lifted to symmetric residues and
-checked exactly: every consequence row must be the integer combination of the
-lifted rows at its pivot columns.  That proves rank over Q <= rank mod p, and
-rank mod p <= rank over Q always holds, so the lifted rows are the unique
-reduced echelon form over Q and their number is both ranks; an unlucky prime
-raises RankMismatchError instead of a wrong answer.  Only another requested
-prime is eliminated again.  Degree 6 (30240 multilinear monomials) is rank
-mod p only.  The reduced rows give a rewriting map into a quotient basis and
-from it traces of the symmetric-group action.
+One pipeline serves every content: one span enumerator, one system builder
+(deduplicated rows in one canonical row order over label-major columns), one
+elimination kernel and one certified-rank routine.  The kernel computes an
+echelon form over GF(p) (dense numpy rows, p a prime near 2^31); its length
+is the rank mod p.  For total degree <= 5 the echelon form at DEFAULT_PRIME,
+once per content, is back-substituted mod p on its free columns, lifted to
+symmetric residues and checked exactly: every consequence row must be the
+integer combination of the lifted rows at its pivot columns.  That proves
+rank over Q <= rank mod p, and rank mod p <= rank over Q always holds, so the
+lifted rows are the unique reduced echelon form over Q and their number is
+both ranks; an unlucky prime raises RankMismatchError instead of a wrong
+answer.  Only another requested prime is eliminated again, over the same
+rows.  Degree 6 (30240 multilinear monomials) is rank mod p only.  The
+reduced rows give a rewriting map into a quotient basis, the free columns,
+and from it traces of the symmetric-group action.
 
-Degree 6, whose echelon form is used only for its length, orders its
-columns label-major instead: by label sequence, then tree shape.  Every
-consequence row has four +-1 terms, two label sequences under two tree
-shapes each, so this order puts the two shapes of each label sequence side
-by side and the column sweep creates far less fill-in.  Permuting columns
-does not change the rank, so every dimension and error stays the same; the
-reduced echelon form does depend on the column order, so the exact system
-of degree <= 5 keeps the canonical one (another prime there eliminates the
-exact system's rows again).  Everything is sequential and deterministic:
-fixed generation, row and column order, no randomness, no threads.
+Every elimination orders its columns label-major: by label sequence, then
+tree shape.  Every consequence row has four +-1 terms, two label sequences
+under two tree shapes each, so this order puts the two shapes of each label
+sequence side by side and the column sweep creates far less fill-in.  The
+canonical order below is kept where the package outputs monomials: the
+enumerations, the span and the matrix dump.  Everything is sequential and
+deterministic: fixed generation, row and column order, no randomness, no
+threads.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
@@ -91,29 +90,24 @@ def monomial_key(m):
     return (shape_key(m), leaf_labels(m))
 
 
-def _shift(template, k: int):
-    if isinstance(template, int):
-        return template + k
-    return (_shift(template[0], k), _shift(template[1], k))
+def relabel(monomial, images):
+    """Replace leaf label i by images[i-1]: a permutation, substitution or filling."""
+    if isinstance(monomial, int):
+        return images[monomial - 1]
+    return (relabel(monomial[0], images), relabel(monomial[1], images))
 
 
 @cache
 def _templates(n: int) -> tuple:
-    """All tree shapes with n leaves, leaves numbered 0..n-1 left to right."""
+    """All tree shapes with n leaves, leaves numbered 1..n left to right."""
     if n == 1:
-        return (0,)
+        return (1,)
     out = []
     for left_size in range(1, n):
         for left in _templates(left_size):
             for right in _templates(n - left_size):
-                out.append((left, _shift(right, left_size)))
+                out.append((left, relabel(right, range(left_size + 1, n + 1))))
     return tuple(out)
-
-
-def _fill(template, labels):
-    if isinstance(template, int):
-        return labels[template]
-    return (_fill(template[0], labels), _fill(template[1], labels))
 
 
 @cache
@@ -122,7 +116,7 @@ def monomials_with_labels(labels: tuple[int, ...]) -> tuple:
     n = len(labels)
     arrangements = sorted(set(permutations(labels)))
     return tuple(
-        _fill(t, arr) for t in _templates(n) for arr in arrangements
+        relabel(t, arr) for t in _templates(n) for arr in arrangements
     )
 
 
@@ -172,12 +166,6 @@ def identity_generators() -> tuple[dict, dict]:
     )
 
 
-def _substitute(term, subs):
-    if isinstance(term, int):
-        return subs[term - 1]
-    return (_substitute(term[0], subs), _substitute(term[1], subs))
-
-
 def _plug(context, x):
     if isinstance(context, int):
         return x if context == HOLE else context
@@ -208,10 +196,11 @@ def _instances(blocks, context_labels) -> list[dict]:
     mons = [monomials_with_labels(b) for b in blocks]
     for g in identity_generators():
         for subs in product(*mons):
+            terms = [(relabel(term, subs), coeff) for term, coeff in g.items()]
             for ctx in contexts:
                 elem: dict = {}
-                for term, coeff in g.items():
-                    m = _plug(ctx, _substitute(term, subs))
+                for x, coeff in terms:
+                    m = _plug(ctx, x)
                     nv = elem.get(m, 0) + coeff
                     if nv:
                         elem[m] = nv
@@ -293,11 +282,12 @@ def _check_modulus(p: int) -> None:
 _CHUNK_ROWS = 2048  # fixed block size; results do not depend on it
 
 
-def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Echelon form over GF(p): pivot column -> (tail columns, tail values).
+def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, dict[int, int]]:
+    """Echelon form over GF(p): pivot column -> {tail column: value}.
 
-    The one elimination kernel; the rank mod p is the length of its result.
-    Rows are loaded a fixed-size block at a time into a dense column-major
+    The one elimination kernel and the only code that uses numpy; the rank
+    mod p is the length of its result, whose values are Python ints.  Rows
+    are loaded a fixed-size block at a time into a dense column-major
     buffer and swept left to right: at each column the whole block is
     reduced against the cached pivot, or the first unreduced row of the
     block becomes the new pivot (stored sparsely, tail scaled to pivot 1).
@@ -305,8 +295,8 @@ def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, tuple[np.ndarray
     touch later pivot columns.  Sequential and deterministic; the block size
     only amortizes overhead.  The rank does not depend on the column order,
     since permuting columns multiplies the matrix by an invertible one, but
-    the fill-in does: degree 6 passes label-major columns, which put the two
-    tree shapes of each label sequence in a row side by side.
+    the fill-in does: label-major columns put the two tree shapes of each
+    label sequence in a row side by side.
     """
     _check_modulus(p)
     piv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -357,37 +347,30 @@ def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, tuple[np.ndarray
                         mat[np.ix_(nz, tail)] = sub
                     pending[tail] = True
                 col[nz] = 0
-    return piv
+    return {c: dict(zip(tail.tolist(), tvals.tolist())) for c, (tail, tvals) in piv.items()}
 
 
-def _lift(echelon: dict, ncols: int, p: int) -> dict[int, dict[int, int]]:
+def _lift(echelon: dict[int, dict[int, int]], p: int) -> dict[int, dict[int, int]]:
     """The reduced echelon form mod p, lifted to symmetric residues.
 
-    Back substitution runs from the rightmost pivot leftwards on the free
-    (non-pivot) columns only: a tail entry at a pivot column is replaced by
-    that pivot's already reduced row.  Each lifted row maps its pivot column
-    to 1 and free columns to integers in (-p/2, p/2].
+    Back substitution runs from the rightmost pivot leftwards: a tail entry
+    at a pivot column is replaced by that pivot's already reduced row, so
+    only free (non-pivot) columns remain.  Each lifted row maps its pivot
+    column to 1 and free columns to integers in (-p/2, p/2].
     """
-    free = np.array([c for c in range(ncols) if c not in echelon], dtype=np.int64)
-    slot = np.full(ncols, -1, dtype=np.int64)
-    slot[free] = np.arange(free.size)
-    reduced = np.zeros((ncols, free.size), dtype=np.int64)
+    reduced: dict[int, dict[int, int]] = {}
     for c in sorted(echelon, reverse=True):
-        tail, tvals = echelon[c]
-        at = slot[tail]
-        on_free = at >= 0
-        row = reduced[c]
-        row[at[on_free]] = tvals[on_free]
-        on_pivot = ~on_free
-        if on_pivot.any():
-            # products are reduced before the sum, so int64 cannot overflow
-            terms = (tvals[on_pivot][:, None] * reduced[tail[on_pivot]]) % p
-            row -= terms.sum(axis=0)
-            row %= p
-    lifted = np.where(reduced > p // 2, reduced - p, reduced)
+        row: dict[int, int] = {}
+        for k, v in echelon[c].items():
+            if k in reduced:  # a pivot right of c: substitute its reduced row
+                for j, x in reduced[k].items():
+                    row[j] = (row.get(j, 0) - v * x) % p
+            else:
+                row[k] = (row.get(k, 0) + v) % p
+        reduced[c] = {j: x for j, x in row.items() if x}
     return {
-        c: {c: 1, **{int(free[j]): int(lifted[c, j]) for j in np.flatnonzero(lifted[c])}}
-        for c in sorted(echelon)
+        c: {c: 1, **{j: x - p if x > p // 2 else x for j, x in sorted(reduced[c].items())}}
+        for c in sorted(reduced)
     }
 
 
@@ -440,11 +423,10 @@ class QuotientBasis:
 
 
 def _system(content: tuple[int, ...]) -> tuple:
-    """(columns, rows) of a degree-6 component, whose rank alone is used.
+    """(columns, rows) of a component: the one builder, for every content.
 
-    The columns are label-major and the span is built straight against
-    them, so no permuted copy of the rows exists.  Rows keep the canonical
-    row order.
+    Columns are the component's monomials in label-major order, and the span
+    is built straight against them; rows keep the canonical row order.
     """
     columns = _label_major(_content_labels(content))
     return columns, _consequence_rows(consequence_span_multigraded(content), columns)
@@ -452,20 +434,19 @@ def _system(content: tuple[int, ...]) -> tuple:
 
 @cache
 def _exact_system(content: tuple[int, ...]) -> tuple:
-    """(ambient, rows, reduced pivots) of a component of total degree <= 5.
+    """(columns, rows, reduced pivots) of a component of total degree <= 5.
 
-    Columns are the component's monomials in canonical order.  The echelon
-    form mod DEFAULT_PRIME is lifted and kept only if it spans every row over
-    Z; its length is then the rank over Q and mod p.  Built once per content,
+    ``_system`` plus its reduced echelon form: the echelon form mod
+    DEFAULT_PRIME is lifted and kept only if it spans every row over Z; its
+    length is then the rank over Q and mod p.  Built once per content,
     shared read-only by rank and basis computations.
     """
-    ambient = monomials_with_labels(_content_labels(content))
-    rows = _consequence_rows(consequence_span_multigraded(content), ambient)
+    columns, rows = _system(content)
     p = DEFAULT_PRIME
-    pivots = _lift(_echelon(rows, len(ambient), p), len(ambient), p)
+    pivots = _lift(_echelon(rows, len(columns), p), p)
     if not _spans(pivots, rows):
         raise RankMismatchError(f"the echelon form mod {p} does not lift to one over Q")
-    return ambient, rows, pivots
+    return columns, rows, pivots
 
 
 @cache
@@ -473,11 +454,11 @@ def quotient_basis(n: int) -> QuotientBasis:
     """Exact reduced row echelon data for the degree-n multilinear quotient."""
     if not 2 <= n <= 5:
         raise ValueError("quotient_basis is limited to 2 <= n <= 5")
-    ambient, _, pivots = _exact_system((1,) * n)
-    basis = tuple(m for i, m in enumerate(ambient) if i not in pivots)
+    columns, _, pivots = _exact_system((1,) * n)
+    basis = tuple(m for i, m in enumerate(columns) if i not in pivots)
     rewrite_map = {}
     for c, row in pivots.items():
-        rewrite_map[ambient[c]] = {ambient[k]: -v for k, v in row.items() if k != c}
+        rewrite_map[columns[c]] = {columns[k]: -v for k, v in row.items() if k != c}
     return QuotientBasis(n=n, monomials=basis, rewrite_map=rewrite_map)
 
 
@@ -485,16 +466,16 @@ def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
     """Quotient dimension of one component from its rank modulo a prime.
 
     Up to total degree 5 the exact system's length is the rank mod
-    DEFAULT_PRIME; another prime is eliminated and must give that rank.  At
-    degree 6 the modular rank over label-major columns stands alone.
-    ``second_prime`` must agree.
+    DEFAULT_PRIME; another prime eliminates the same rows and must give that
+    rank.  At degree 6 the modular rank stands alone.  ``second_prime`` must
+    agree.
     """
     primes = [p for p in (prime or DEFAULT_PRIME, second_prime) if p]
     for p in primes:  # a bad modulus fails before any elimination work
         _check_modulus(p)
     exact = sum(content) <= 5
-    ambient, rows, pivots = _exact_system(content) if exact else (*_system(content), None)
-    ranks = [len(pivots) if exact and p == DEFAULT_PRIME else len(_echelon(rows, len(ambient), p))
+    columns, rows, pivots = _exact_system(content) if exact else (*_system(content), None)
+    ranks = [len(pivots) if exact and p == DEFAULT_PRIME else len(_echelon(rows, len(columns), p))
              for p in primes]
     rank_p = ranks[0]
     if ranks[-1] != rank_p:
@@ -504,7 +485,7 @@ def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
             f"modular rank {rank_p} != rational rank {len(pivots)}; retry with a "
             "different prime"
         )
-    return len(ambient) - rank_p
+    return len(columns) - rank_p
 
 
 def quotient_dim(n: int, prime: int | None = None, second_prime: int | None = None) -> int:
@@ -551,13 +532,6 @@ def class_representative(mu) -> tuple[int, ...]:
         images[start + k - 1] = start
         start += k
     return tuple(images[1:])
-
-
-def relabel(monomial, images: tuple[int, ...]):
-    """Apply a permutation (tuple of images of 1..n) to the leaf labels."""
-    if isinstance(monomial, int):
-        return images[monomial - 1]
-    return (relabel(monomial[0], images), relabel(monomial[1], images))
 
 
 def permutation_trace(n: int, images: tuple[int, ...]) -> int:

@@ -95,18 +95,18 @@ def test_identity_generators_shape():
 def test_consequence_span_degree_3():
     span = consequence_span(3)
     assert len(span) == 12
-    rows = _consequence_rows(span, enumerate_multilinear(3))
+    rows = _consequence_rows(span, _label_major((1, 2, 3)))
     assert _exact_system((1, 1, 1))[1] == rows
     assert len(_exact_system((1, 1, 1))[2]) == 5  # 12 ambient - 7 quotient
 
 
 def test_consequence_span_degree_4_rank():
     span = consequence_span(4)
-    ambient = enumerate_multilinear(4)
-    rows = _consequence_rows(span, ambient)
+    columns = _label_major((1, 2, 3, 4))
+    rows = _consequence_rows(span, columns)
     assert _exact_system((1,) * 4)[1] == rows
     assert len(_exact_system((1,) * 4)[2]) == 91  # 120 - 29
-    assert len(_echelon(rows, len(ambient), 2**31 - 1)) == 91
+    assert len(_echelon(rows, len(columns), 2**31 - 1)) == 91
 
 
 def test_multilinear_span_is_the_content_one_component():
@@ -128,7 +128,7 @@ def test_reduced_pivots_do_not_depend_on_row_order():
     random.Random(0).shuffle(shuffled)
     reduced = []
     for order in (rows, rows[::-1], shuffled):
-        pivots = _lift(_echelon(order, 120, DEFAULT_PRIME), 120, DEFAULT_PRIME)
+        pivots = _lift(_echelon(order, 120, DEFAULT_PRIME), DEFAULT_PRIME)
         assert _spans(pivots, rows)
         reduced.append(pivots)
     assert reduced[0] == reduced[1] == reduced[2]
@@ -169,13 +169,13 @@ def test_exact_system_matches_fraction_gauss_jordan(content):
     assert pivots == fraction_rref(rows)
 
 
-@pytest.mark.parametrize("content, p", [((1,) * 5, 7), ((1,) * 4, 5), ((3, 1, 1), 7)])
+@pytest.mark.parametrize("content, p", [((1,) * 4, 3), ((3, 1, 1), 5), ((2, 2, 1), 7)])
 def test_small_prime_gives_the_rank_but_fails_the_span_check(content, p):
-    ambient, rows, pivots = _exact_system(content)
-    echelon = _echelon(rows, len(ambient), p)
+    columns, rows, pivots = _exact_system(content)
+    echelon = _echelon(rows, len(columns), p)
     assert len(echelon) == len(pivots)
     assert _spans(pivots, rows)
-    assert not _spans(_lift(echelon, len(ambient), p), rows)
+    assert not _spans(_lift(echelon, p), rows)
 
 
 def test_tampered_reduced_entry_fails_the_span_check():
@@ -191,7 +191,7 @@ def test_unliftable_default_prime_raises(monkeypatch):
     monkeypatch.setattr(oracle, "DEFAULT_PRIME", 7)
     try:
         with pytest.raises(RankMismatchError, match="does not lift"):
-            quotient_dim(5)
+            quotient_dim_multigraded((2, 2, 1))
     finally:
         _exact_system.cache_clear()
 
@@ -315,6 +315,33 @@ def test_label_major_rank_equals_the_exact_rank():
     for content in contents:
         columns, rows = _system(content)
         assert len(_echelon(rows, len(columns), 1_000_003)) == len(_exact_system(content)[2])
+
+
+def test_exact_system_is_built_on_the_one_system():
+    for total in range(1, 6):
+        for content in positive_contents(total):
+            assert _exact_system(content)[:2] == _system(content)
+
+
+def test_kernel_and_lift_return_python_ints():
+    columns, rows = _system((2, 2, 1))
+    echelon = _echelon(rows, len(columns), DEFAULT_PRIME)
+    for form in (echelon, _lift(echelon, DEFAULT_PRIME)):
+        assert form
+        for c, row in form.items():
+            assert type(c) is int
+            assert all(type(k) is int and type(v) is int for k, v in row.items())
+
+
+def test_quotient_basis_is_the_label_major_free_columns():
+    for n in range(2, 6):
+        qb = quotient_basis(n)
+        basis, eliminated = set(qb.monomials), set(qb.rewrite_map)
+        assert len(basis) == len(qb.monomials) == codimension(n)
+        assert not basis & eliminated
+        assert basis | eliminated == set(enumerate_multilinear(n))
+        order = [(leaf_labels(m), shape_key(m)) for m in qb.monomials]
+        assert order == sorted(order)
 
 
 def test_label_major_rank_equals_the_canonical_rank_at_degree_6():
