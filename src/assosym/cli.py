@@ -20,12 +20,7 @@ from decimal import Decimal
 
 from . import algebra, oracle
 from .characters import _alternating_label_dimension
-from .decomposition import (
-    GROUP_ALTERNATING,
-    GROUP_GENERAL_LINEAR,
-    GROUP_SYMMETRIC,
-    Decomposition,
-)
+from .decomposition import GROUP_ALTERNATING, GROUP_GENERAL_LINEAR, GROUP_SYMMETRIC
 from .partitions import _specht_dim, weyl_dim
 
 CONFIG_NAME = "assosym.cfg"
@@ -94,33 +89,25 @@ def _csv_text(header, rows) -> str:
 # ---------------------------------------------------------------------------
 # decompose
 
-def _term_dimension(dec: Decomposition, label, dim_v: int | None):
-    if dec.group == GROUP_SYMMETRIC:
-        return _specht_dim(label.partition)
-    if dec.group == GROUP_GENERAL_LINEAR:
-        return weyl_dim(label.partition, dim_v)
-    if dec.group == GROUP_ALTERNATING and dim_v is None:
-        return _alternating_label_dimension(label)
-    return None  # A-Weyl module dimensions are not computed
-
-
 def _decompose_result(n: int, group: str, dim_v: int | None):
+    """(symbol, decomposition, dimension of a term's label) for one group."""
     if group == GROUP_SYMMETRIC:
-        return "S", algebra.sn_decomposition(n)
+        return "S", algebra.sn_decomposition(n), lambda label: _specht_dim(label.partition)
     if group == GROUP_GENERAL_LINEAR:
         if dim_v is None:
             raise UsageError("--dim is required with --group GL")
-        return "W", algebra.gl_decomposition(n, dim_v)
-    if dim_v is not None:
-        return "W_A", algebra.an_gl_decomposition(n, dim_v)
-    return "S_A", algebra.an_decomposition(n)
+        return ("W", algebra.gl_decomposition(n, dim_v),
+                lambda label: weyl_dim(label.partition, dim_v))
+    if dim_v is not None:  # A-Weyl module dimensions are not computed
+        return "W_A", algebra.an_gl_decomposition(n, dim_v), lambda label: None
+    return "S_A", algebra.an_decomposition(n), _alternating_label_dimension
 
 
 def cmd_decompose(args) -> tuple[str, int]:
-    symbol, dec = _decompose_result(args.n, args.group, args.dim)
+    symbol, dec, dimension = _decompose_result(args.n, args.group, args.dim)
     if args.format == "json":
         return dec.to_json(), EXIT_OK
-    dims = [_term_dimension(dec, label, args.dim) for label in dec.terms]
+    dims = [dimension(label) for label in dec.terms]
     if args.format == "csv":
         rows = [
             [" ".join(str(p) for p in label.partition), label.sign, str(mult),
@@ -223,47 +210,36 @@ def cmd_dims(args) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 # verify
 
+def _check(name: str, expected, actual) -> dict:
+    return {"name": name, "expected": str(expected), "actual": str(actual),
+            "pass": actual == expected}
+
+
 def _verify_checks(args) -> list[dict]:
-    checks = []
     if args.n is not None:
         n = args.n
         if n == 6 and not args.allow_n6:
             raise UsageError("degree 6 is a long modular-only run; pass --allow-n6")
         if args.dump_matrix:
+            dump = io.StringIO()  # built first, so a failure leaves FILE untouched
+            oracle.write_consequence_matrix(n, dump)
             with open(args.dump_matrix, "w", encoding="utf-8") as fh:
-                oracle.write_consequence_matrix(n, fh)
+                fh.write(dump.getvalue())
         actual = oracle.quotient_dim(n, prime=args.prime, second_prime=args.second_prime)
-        expected = algebra.codimension(n)
-        checks.append({
-            "name": f"quotient dimension, degree {n}",
-            "expected": str(expected),
-            "actual": str(actual),
-            "pass": actual == expected,
-        })
+        checks = [_check(f"quotient dimension, degree {n}", algebra.codimension(n), actual)]
         if 2 <= n <= 5:
-            got = oracle.oracle_multiplicities(n)
-            want = algebra.sn_decomposition(n)
-            checks.append({
-                "name": f"irreducible multiplicities, degree {n}",
-                "expected": want.render(),
-                "actual": got.render(),
-                "pass": got.terms == want.terms,
-            })
-    else:
-        multidegree = _parse_multidegree(args.multidegree)
-        if sum(multidegree) == 6 and not args.allow_n6:
-            raise UsageError("total degree 6 is a long modular-only run; pass --allow-n6")
-        actual = oracle.quotient_dim_multigraded(
-            multidegree, prime=args.prime, second_prime=args.second_prime
-        )
-        expected = algebra.multigraded_dim(multidegree)
-        checks.append({
-            "name": f"multigraded dimension, degree {','.join(map(str, multidegree))}",
-            "expected": str(expected),
-            "actual": str(actual),
-            "pass": actual == expected,
-        })
-    return checks
+            got = oracle.oracle_multiplicities(n).render()
+            checks.append(_check(f"irreducible multiplicities, degree {n}",
+                                 algebra.sn_decomposition(n).render(), got))
+        return checks
+    multidegree = _parse_multidegree(args.multidegree)
+    if sum(multidegree) == 6 and not args.allow_n6:
+        raise UsageError("total degree 6 is a long modular-only run; pass --allow-n6")
+    actual = oracle.quotient_dim_multigraded(
+        multidegree, prime=args.prime, second_prime=args.second_prime
+    )
+    return [_check(f"multigraded dimension, degree {','.join(map(str, multidegree))}",
+                   algebra.multigraded_dim(multidegree), actual)]
 
 
 def cmd_verify(args) -> tuple[str, int]:

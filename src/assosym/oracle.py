@@ -271,8 +271,12 @@ def _consequence_rows(elements: list[dict], ambient) -> list[dict]:
     return [dict(key) for key in sorted(keys, key=lambda key: (-key[-1][0], key))]
 
 
+@cache
 def _check_modulus(p: int) -> None:
-    """Reject a modulus that is not a prime with (p-1)^2 inside int64."""
+    """Reject a modulus that is not a prime with (p-1)^2 inside int64.
+
+    Proven once per modulus; ``cache`` keeps no exceptions, so a rejection recurs.
+    """
     if p <= 2 or (p - 1) ** 2 >= 2**63:
         raise ValueError("prime must exceed 2 and keep (p-1)^2 inside int64")
     if p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
@@ -336,15 +340,9 @@ def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, dict[int, int]]:
             else:
                 tail, tvals = entry
             if nz.size:
-                if tail.size:
-                    if nz.size == 1:
-                        r = int(nz[0])
-                        mat[r, tail] = (mat[r, tail] - int(col[r]) * tvals) % p
-                    else:
-                        sub = mat[np.ix_(nz, tail)]
-                        sub -= np.outer(col[nz], tvals)
-                        sub %= p
-                        mat[np.ix_(nz, tail)] = sub
+                if tail.size:  # entries and products stay below p^2 < 2^62
+                    idx = np.ix_(nz, tail)
+                    mat[idx] = (mat[idx] - np.outer(col[nz], tvals)) % p
                     pending[tail] = True
                 col[nz] = 0
     return {c: dict(zip(tail.tolist(), tvals.tolist())) for c, (tail, tvals) in piv.items()}

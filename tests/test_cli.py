@@ -272,6 +272,18 @@ def test_verify_dump_matrix(capsys, tmp_path):
     assert len(lines) == 49
 
 
+@pytest.mark.parametrize("n", ["7", "1"])
+def test_verify_dump_matrix_leaves_files_alone_on_bad_degree(capsys, tmp_path, n):
+    existing, new = tmp_path / "existing.txt", tmp_path / "new.txt"
+    existing.write_bytes(b"keep me\n")
+    for target in (existing, new):
+        code, _, err = run_cli(capsys, "verify", "--n", n, "--dump-matrix", str(target))
+        assert code == 1
+        assert err.startswith("assosym: error:")
+    assert existing.read_bytes() == b"keep me\n"
+    assert not new.exists()
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "decompose", "4", "--format", "json",

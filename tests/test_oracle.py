@@ -161,6 +161,45 @@ def fraction_rref(rows: list[dict]) -> dict[int, dict[int, Fraction]]:
     return pivots
 
 
+def random_rows(seed: int, count: int, ncols: int) -> list[dict]:
+    """``count`` rows of four entries from +-1..+-3, then six integer
+    combinations of them, shuffled in: a matrix of rank at most ``count``.
+    """
+    rng = random.Random(seed)
+
+    def entry():
+        return rng.choice((-1, 1)) * rng.randint(1, 3)
+
+    rows = [{c: entry() for c in rng.sample(range(ncols), 4)} for _ in range(count)]
+    for _ in range(6):
+        combo: dict = {}
+        for row in rng.sample(rows[:count], 3):
+            scale = entry()
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + scale * v
+        rows.append({c: v for c, v in combo.items() if v})
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 2048])  # 1: every reduction is a single row
+@pytest.mark.parametrize("seed, count", [(0, 30), (1, 30), (2, 30), (3, 9), (4, 9), (5, 9)])
+def test_kernel_matches_fraction_gauss_jordan_on_random_rows(monkeypatch, chunk, seed, count):
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk)
+    p = DEFAULT_PRIME
+    rows = random_rows(seed, count, 14)
+    lifted = _lift(_echelon(rows, 14, p), p)
+    got = {c: {k: v % p for k, v in row.items()} for c, row in lifted.items()}
+    want = {
+        c: {k: v.numerator * pow(v.denominator, -1, p) % p for k, v in row.items()}
+        for c, row in fraction_rref(rows).items()
+    }
+    assert sorted(got) == sorted(want)
+    assert got == want
+    if count < 14:  # rank deficient: the reduced rows carry free columns
+        assert len(got) <= count and any(len(row) > 1 for row in got.values())
+
+
 @pytest.mark.parametrize(
     "content", [(1, 1, 1), (1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2), (4, 1)]
 )
@@ -252,18 +291,19 @@ def test_quotient_dim_guard_and_prime_check():
 
 def test_composite_and_oversized_moduli_are_rejected():
     rows = _consequence_rows(consequence_span(3), enumerate_multilinear(3))
-    for modulus in (4, 1_000_000, 1_000_001, 2**31 + 1):  # 1000001 = 101 * 9901
+    for _ in range(2):  # the modulus check is cached: a rejection must recur
+        for modulus in (4, 1_000_000, 1_000_001, 2**31 + 1):  # 1000001 = 101 * 9901
+            with pytest.raises(ValueError, match="not prime"):
+                _echelon(rows, 12, modulus)
         with pytest.raises(ValueError, match="not prime"):
-            _echelon(rows, 12, modulus)
-    with pytest.raises(ValueError, match="not prime"):
-        quotient_dim(4, prime=1_000_000)
-    with pytest.raises(ValueError, match="not prime"):
-        quotient_dim(3, second_prime=1_000_000)
-    with pytest.raises(ValueError, match="not prime"):
-        quotient_dim_multigraded((4, 1, 1), prime=1_000_000)
-    # prime, but (p-1)^2 overflows int64
-    with pytest.raises(ValueError, match="int64"):
-        quotient_dim(3, prime=3_221_225_461)
+            quotient_dim(4, prime=1_000_000)
+        with pytest.raises(ValueError, match="not prime"):
+            quotient_dim(3, second_prime=1_000_000)
+        with pytest.raises(ValueError, match="not prime"):
+            quotient_dim_multigraded((4, 1, 1), prime=1_000_000)
+        # prime, but (p-1)^2 overflows int64
+        with pytest.raises(ValueError, match="int64"):
+            quotient_dim(3, prime=3_221_225_461)
     assert len(_echelon(rows, 12, 3)) == 5
     assert len(_echelon(rows, 12, 3_037_000_493)) == 5  # largest prime below 2^31.5
 
