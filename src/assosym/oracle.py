@@ -35,13 +35,21 @@ threads.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
-the left-to-right label sequence.
+the left-to-right label sequence.  Over a sorted label multiset with S tree
+shapes and A distinct leaf sequences (arrangements), monomial s * A + a in
+canonical order has shape s and arrangement a; its label-major column is
+a * S + s.  The span and the systems are built on these (shape, arrangement)
+indices alone: the shape of a substituted or plugged term comes from a cached
+graft of two shapes and its arrangement from an index of the arrangements,
+so only the public span functions and the quotient basis turn indices into
+monomials.
 """
 
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, permutations, product
 from math import gcd, isqrt
+from operator import add
 
 import numpy as np
 
@@ -111,12 +119,36 @@ def _templates(n: int) -> tuple:
 
 
 @cache
+def _graft(outer: int, size: int, leaf: int, inner: int, inner_size: int) -> int:
+    """The shape made by putting shape ``inner`` at leaf position ``leaf`` of ``outer``.
+
+    Shapes are indices into ``_templates`` of their size; the result is one
+    of ``size + inner_size - 1`` leaves.  Positions are 0-based.
+    """
+    images = [
+        *range(1, leaf + 1),
+        relabel(_templates(inner_size)[inner], range(leaf + 1, leaf + inner_size + 1)),
+        *range(leaf + inner_size + 1, size + inner_size),
+    ]
+    grafted = relabel(_templates(size)[outer], images)
+    return _templates(size + inner_size - 1).index(grafted)
+
+
+@cache
+def _arrangements(labels: tuple[int, ...]) -> tuple:
+    """The distinct leaf sequences over a label multiset, in lexicographic order."""
+    return tuple(sorted(set(permutations(labels))))
+
+
+@cache
 def monomials_with_labels(labels: tuple[int, ...]) -> tuple:
-    """All monomials whose leaf labels read the given multiset, canonical order."""
-    n = len(labels)
-    arrangements = sorted(set(permutations(labels)))
+    """All monomials whose leaf labels read the given multiset, canonical order.
+
+    Monomial ``s * A + a`` has shape ``_templates(n)[s]`` and leaf sequence
+    ``_arrangements(labels)[a]``, for A arrangements.
+    """
     return tuple(
-        relabel(t, arr) for t in _templates(n) for arr in arrangements
+        relabel(t, arr) for t in _templates(len(labels)) for arr in _arrangements(labels)
     )
 
 
@@ -166,10 +198,38 @@ def identity_generators() -> tuple[dict, dict]:
     )
 
 
-def _plug(context, x):
-    if isinstance(context, int):
-        return x if context == HOLE else context
-    return (_plug(context[0], x), _plug(context[1], x))
+@cache
+def _generator_terms() -> tuple:
+    """``identity_generators()`` as lists of (shape, leaf sequence, coefficient).
+
+    The leaf sequence lists, for each leaf, the 0-based number of its variable.
+    """
+    out = []
+    for g in identity_generators():
+        terms = []
+        for term, coeff in g.items():
+            seq = leaf_labels(term)
+            template = relabel(term, [seq.index(i) + 1 for i in (1, 2, 3)])
+            terms.append((_templates(3).index(template), tuple(i - 1 for i in seq), coeff))
+        out.append(terms)
+    return tuple(out)
+
+
+@cache
+def _substituted_shapes(g: int, *inner) -> tuple:
+    """The shapes of generator g's terms with variable i replaced by a shape.
+
+    ``inner[i]`` is (shape, size) of the monomial substituted for variable i.
+    """
+    out = []
+    for shape, seq, _ in _generator_terms()[g]:
+        size = 3
+        for leaf in (2, 1, 0):  # right to left, so the leaves still to fill stay put
+            s, s_size = inner[seq[leaf]]
+            shape = _graft(shape, size, leaf, s, s_size)
+            size += s_size - 1
+        out.append(shape)
+    return tuple(out)
 
 
 def _sub_multisets(labels: tuple):
@@ -189,47 +249,76 @@ def _without(labels: tuple, sub: tuple) -> tuple:
     return tuple(rest)
 
 
-def _instances(blocks, context_labels) -> list[dict]:
-    """All context-embedded substitution instances over the given label split."""
-    out = []
-    contexts = monomials_with_labels((HOLE,) + context_labels)
-    mons = [monomials_with_labels(b) for b in blocks]
-    for g in identity_generators():
-        for subs in product(*mons):
-            terms = [(relabel(term, subs), coeff) for term, coeff in g.items()]
-            for ctx in contexts:
-                elem: dict = {}
-                for x, coeff in terms:
-                    m = _plug(ctx, x)
-                    nv = elem.get(m, 0) + coeff
-                    if nv:
-                        elem[m] = nv
-                    else:
-                        del elem[m]
-                out.append(elem)
-    return out
+def _instances(blocks, context_labels, index, weights):
+    """The consequences of one label split as {column: coefficient}, in generation order.
+
+    For each generator and substitution of block monomials, every one-hole
+    context monomial over the hole and ``context_labels`` takes each
+    substituted term at its hole; equal terms cancel.  No monomial is built:
+    a block monomial is ((shape, size), leaf sequence), and the column of a
+    plugged term is ``shape * weights[0] + arrangement * weights[1]``.  Per
+    substitution, the shape part is computed once per context shape and hole
+    position, the arrangement part once per context arrangement.
+    """
+    ws, wa = weights
+    size = len(context_labels) + 1
+    inner_size = sum(map(len, blocks))
+    holes = [(arr.index(HOLE), arr) for arr in _arrangements((HOLE,) + context_labels)]
+    mons = [
+        [((s, len(b)), arr) for s in range(len(_templates(len(b)))) for arr in _arrangements(b)]
+        for b in blocks
+    ]
+    for g, terms in enumerate(_generator_terms()):
+        seqs = [seq for _, seq, _ in terms]
+        coeffs = [coeff for *_, coeff in terms]
+        for (s1, l1), (s2, l2), (s3, l3) in product(*mons):
+            shapes = _substituted_shapes(g, s1, s2, s3)
+            arrs = (l1, l2, l3)
+            leaves = [arrs[i] + arrs[j] + arrs[k] for i, j, k in seqs]
+            arr_cols = [[index[arr[:h] + x + arr[h + 1:]] * wa for x in leaves]
+                        for h, arr in holes]
+            for c in range(len(_templates(size))):
+                shape_cols = [[_graft(c, size, h, s, inner_size) * ws for s in shapes]
+                              for h in range(size)]
+                for (h, _), acols in zip(holes, arr_cols):
+                    elem: dict = {}
+                    for col, coeff in zip(map(add, shape_cols[h], acols), coeffs):
+                        nv = elem.get(col, 0) + coeff
+                        if nv:
+                            elem[col] = nv
+                        else:
+                            del elem[col]
+                    yield elem
 
 
-def _span(labels: tuple) -> list[dict]:
+def _span(labels: tuple, label_major: bool = False):
     """Every consequence over a sorted label multiset, in generation order.
 
     Each split into three nonempty blocks and a (possibly empty) context, with
     monomials on the blocks and a one-hole context monomial, contributes one
     element per generator.  Redundant (even duplicate) elements are fine;
-    the row builder absorbs them.
+    the row builder absorbs them.  Elements are {column: coefficient} over
+    the canonical columns of ``monomials_with_labels(labels)``, or over the
+    label-major columns of ``_label_major(labels)``.
     """
-    out: list[dict] = []
+    shapes, arrs = len(_templates(len(labels))), len(_arrangements(labels))
+    weights = (1, shapes) if label_major else (arrs, 1)
+    index = {arr: a for a, arr in enumerate(_arrangements(labels))}
     for b1 in _sub_multisets(labels):
         rest1 = _without(labels, b1)
         for b2 in _sub_multisets(rest1):
             rest2 = _without(rest1, b2)
             for b3 in _sub_multisets(rest2):
-                out.extend(_instances((b1, b2, b3), _without(rest2, b3)))
-    return out
+                yield from _instances((b1, b2, b3), _without(rest2, b3), index, weights)
 
 
 def _content_labels(content) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(content, start=1) for _ in range(c))
+
+
+def _monomial_span(labels: tuple) -> list[dict]:
+    ambient = monomials_with_labels(labels)
+    return [{ambient[c]: v for c, v in elem.items()} for elem in _span(labels)]
 
 
 def consequence_span(n: int) -> list[dict]:
@@ -239,19 +328,19 @@ def consequence_span(n: int) -> list[dict]:
     """
     if not 2 <= n <= 6:
         raise ValueError("consequence_span is limited to 2 <= n <= 6")
-    return _span(tuple(range(1, n + 1)))
+    return _monomial_span(tuple(range(1, n + 1)))
 
 
 def consequence_span_multigraded(content) -> list[dict]:
     """Spanning set of the T-ideal component with the given generator content."""
-    return _span(_content_labels(tuple(int(c) for c in content)))
+    return _monomial_span(_content_labels(tuple(int(c) for c in content)))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def _consequence_rows(elements: list[dict], ambient) -> list[dict]:
-    """Consequences as integer rows over the ambient columns, deduplicated.
+def _consequence_rows(elements) -> list[dict]:
+    """Consequences {column: coefficient} as integer rows, deduplicated.
 
     Rows equal up to sign and content collapse to one normalized key: no
     content, positive at the minimal column.  Keys come out in one canonical
@@ -259,11 +348,9 @@ def _consequence_rows(elements: list[dict], ambient) -> list[dict]:
     the reduced echelon form depends on row order, but this one keeps the
     elimination sweeps small.
     """
-    col_index = {m: i for i, m in enumerate(ambient)}
     keys = set()
-    for elem in elements:
-        if elem:
-            row = {col_index[m]: c for m, c in elem.items()}
+    for row in elements:
+        if row:
             content = gcd(*row.values())
             if row[min(row)] < 0:
                 content = -content
@@ -424,10 +511,10 @@ def _system(content: tuple[int, ...]) -> tuple:
     """(columns, rows) of a component: the one builder, for every content.
 
     Columns are the component's monomials in label-major order, and the span
-    is built straight against them; rows keep the canonical row order.
+    is generated straight over them; rows keep the canonical row order.
     """
-    columns = _label_major(_content_labels(content))
-    return columns, _consequence_rows(consequence_span_multigraded(content), columns)
+    labels = _content_labels(content)
+    return _label_major(labels), _consequence_rows(_span(labels, label_major=True))
 
 
 @cache
@@ -468,7 +555,8 @@ def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
     rank.  At degree 6 the modular rank stands alone.  ``second_prime`` must
     agree.
     """
-    primes = [p for p in (prime or DEFAULT_PRIME, second_prime) if p]
+    primes = [p for p in (DEFAULT_PRIME if prime is None else prime, second_prime)
+              if p is not None]
     for p in primes:  # a bad modulus fails before any elimination work
         _check_modulus(p)
     exact = sum(content) <= 5
@@ -570,10 +658,14 @@ def write_consequence_matrix(n: int, stream) -> None:
     First line: ``nrows ncols``; then one ``row col numerator/denominator``
     triple per nonzero, rows and columns 0-based in canonical order.
     """
-    ambient = enumerate_multilinear(n)
-    col_index = {m: i for i, m in enumerate(ambient)}
-    elements = consequence_span(n)
-    stream.write(f"{len(elements)} {len(ambient)}\n")
-    for i, elem in enumerate(elements):
-        for m, coeff in sorted(elem.items(), key=lambda kv: col_index[kv[0]]):
-            stream.write(f"{i} {col_index[m]} {coeff}/1\n")
+    if not 1 <= n <= 6:  # the messages of enumerate_multilinear and consequence_span
+        raise ValueError("enumerate_multilinear is limited to 1 <= n <= 6")
+    if n == 1:
+        raise ValueError("consequence_span is limited to 2 <= n <= 6")
+    labels = tuple(range(1, n + 1))
+    lines = [
+        "".join([f"{i} {c} {v}/1\n" for c, v in sorted(elem.items())])
+        for i, elem in enumerate(_span(labels))
+    ]
+    stream.write(f"{len(lines)} {len(_templates(n)) * len(_arrangements(labels))}\n")
+    stream.writelines(lines)

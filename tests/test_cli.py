@@ -240,6 +240,16 @@ def test_verify_rejects_a_composite_modulus(capsys):
         assert code == 1
         assert out == ""
         assert "1000000 is not prime" in err
+    for argv in (  # zero is a modulus too, not "use the default" or "no cross-check"
+        ("verify", "--n", "3", "--prime", "0"),
+        ("verify", "--n", "3", "--second-prime", "0"),
+        ("verify", "--multidegree", "2,1,1", "--prime", "0"),
+        ("verify", "--multidegree", "2,1,1", "--second-prime", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "prime must exceed 2" in err
 
 
 def test_verify_multidegree_checks_the_second_prime(capsys):

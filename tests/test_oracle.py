@@ -2,7 +2,7 @@ import hashlib
 import io
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -30,12 +30,16 @@ from assosym.oracle import (
     shape_key,
     write_consequence_matrix,
     _consequence_rows,
+    _content_labels,
     _echelon,
     _exact_system,
     _label_major,
     _lift,
+    _span,
     _spans,
     _system,
+    _sub_multisets,
+    _without,
 )
 from assosym.partitions import generate_partitions
 
@@ -54,6 +58,49 @@ def cycle_type_of(images):
             k += 1
         lengths.append(k)
     return tuple(sorted(lengths, reverse=True))
+
+
+def index_rows(elements, columns):
+    """Monomial-keyed consequences as rows over the given column list."""
+    col = {m: i for i, m in enumerate(columns)}
+    return [{col[m]: v for m, v in elem.items()} for elem in elements]
+
+
+def plug(context, x):
+    if isinstance(context, int):
+        return x if context == oracle.HOLE else context
+    return (plug(context[0], x), plug(context[1], x))
+
+
+def reference_span(labels):
+    """The consequence span built from nested-tuple monomials.
+
+    Same splits and generation order as the oracle, but every term is
+    substituted with ``relabel`` and plugged into a context monomial from
+    ``monomials_with_labels`` by a recursive walk, with no index arithmetic.
+    """
+    out = []
+    for b1 in _sub_multisets(labels):
+        rest1 = _without(labels, b1)
+        for b2 in _sub_multisets(rest1):
+            rest2 = _without(rest1, b2)
+            for b3 in _sub_multisets(rest2):
+                contexts = monomials_with_labels((oracle.HOLE,) + _without(rest2, b3))
+                mons = [monomials_with_labels(b) for b in (b1, b2, b3)]
+                for g in identity_generators():
+                    for subs in product(*mons):
+                        terms = [(relabel(term, subs), coeff) for term, coeff in g.items()]
+                        for ctx in contexts:
+                            elem = {}
+                            for x, coeff in terms:
+                                m = plug(ctx, x)
+                                nv = elem.get(m, 0) + coeff
+                                if nv:
+                                    elem[m] = nv
+                                else:
+                                    del elem[m]
+                            out.append(elem)
+    return out
 
 
 def test_enumerate_multilinear_counts():
@@ -95,7 +142,7 @@ def test_identity_generators_shape():
 def test_consequence_span_degree_3():
     span = consequence_span(3)
     assert len(span) == 12
-    rows = _consequence_rows(span, _label_major((1, 2, 3)))
+    rows = _consequence_rows(index_rows(span, _label_major((1, 2, 3))))
     assert _exact_system((1, 1, 1))[1] == rows
     assert len(_exact_system((1, 1, 1))[2]) == 5  # 12 ambient - 7 quotient
 
@@ -103,7 +150,7 @@ def test_consequence_span_degree_3():
 def test_consequence_span_degree_4_rank():
     span = consequence_span(4)
     columns = _label_major((1, 2, 3, 4))
-    rows = _consequence_rows(span, columns)
+    rows = _consequence_rows(index_rows(span, columns))
     assert _exact_system((1,) * 4)[1] == rows
     assert len(_exact_system((1,) * 4)[2]) == 91  # 120 - 29
     assert len(_echelon(rows, len(columns), 2**31 - 1)) == 91
@@ -114,8 +161,21 @@ def test_multilinear_span_is_the_content_one_component():
         assert consequence_span(n) == consequence_span_multigraded((1,) * n)
 
 
+def test_span_matches_the_nested_tuple_reference():
+    contents = [c for total in range(1, 6) for c in positive_contents(total)] + [(3, 2, 1)]
+    assert len(contents) == 32
+    for content in contents:
+        labels = _content_labels(content)
+        want = reference_span(labels)
+        got = consequence_span_multigraded(content)
+        assert [list(elem.items()) for elem in got] == [list(elem.items()) for elem in want]
+        label_major = index_rows(want, _label_major(labels))
+        got = _span(labels, label_major=True)
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in label_major]
+
+
 def test_consequence_rows_are_deduplicated_in_canonical_order():
-    rows = _consequence_rows(consequence_span(4), enumerate_multilinear(4))
+    rows = _consequence_rows(_span((1, 2, 3, 4)))
     keys = [tuple(sorted(row.items())) for row in rows]
     assert len(set(keys)) == len(keys) == 120  # 240 span elements, pairs collapse
     assert keys == sorted(keys, key=lambda key: (-key[-1][0], key))
@@ -123,7 +183,7 @@ def test_consequence_rows_are_deduplicated_in_canonical_order():
 
 
 def test_reduced_pivots_do_not_depend_on_row_order():
-    rows = _consequence_rows(consequence_span(4), enumerate_multilinear(4))
+    rows = _consequence_rows(_span((1, 2, 3, 4)))
     shuffled = list(rows)
     random.Random(0).shuffle(shuffled)
     reduced = []
@@ -290,7 +350,7 @@ def test_quotient_dim_guard_and_prime_check():
 
 
 def test_composite_and_oversized_moduli_are_rejected():
-    rows = _consequence_rows(consequence_span(3), enumerate_multilinear(3))
+    rows = _consequence_rows(_span((1, 2, 3)))
     for _ in range(2):  # the modulus check is cached: a rejection must recur
         for modulus in (4, 1_000_000, 1_000_001, 2**31 + 1):  # 1000001 = 101 * 9901
             with pytest.raises(ValueError, match="not prime"):
@@ -304,6 +364,11 @@ def test_composite_and_oversized_moduli_are_rejected():
         # prime, but (p-1)^2 overflows int64
         with pytest.raises(ValueError, match="int64"):
             quotient_dim(3, prime=3_221_225_461)
+        for kwargs in ({"prime": 0}, {"second_prime": 0}):  # zero is a modulus, not "unset"
+            with pytest.raises(ValueError, match="prime must exceed 2"):
+                quotient_dim(3, **kwargs)
+            with pytest.raises(ValueError, match="prime must exceed 2"):
+                quotient_dim_multigraded((2, 1), **kwargs)
     assert len(_echelon(rows, 12, 3)) == 5
     assert len(_echelon(rows, 12, 3_037_000_493)) == 5  # largest prime below 2^31.5
 
@@ -386,9 +451,9 @@ def test_quotient_basis_is_the_label_major_free_columns():
 
 def test_label_major_rank_equals_the_canonical_rank_at_degree_6():
     content = (3, 2, 1)
-    canonical = monomials_with_labels(oracle._content_labels(content))
+    canonical = monomials_with_labels(_content_labels(content))
     columns, rows = _system(content)
-    canonical_rows = _consequence_rows(consequence_span_multigraded(content), canonical)
+    canonical_rows = _consequence_rows(_span(_content_labels(content)))
     rank = len(_echelon(rows, len(columns), DEFAULT_PRIME))
     assert rank == len(_echelon(canonical_rows, len(canonical), DEFAULT_PRIME))
     assert rank == len(canonical) - multigraded_dim(content)
@@ -486,6 +551,15 @@ def test_consequence_matrix_dump_is_pinned_at_degree_5():
     write_consequence_matrix(5, buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == "bf104bad019b0f04d12644453c9747e7a70fa0c2891472085e13549d7dd35d3d"
+
+
+def test_consequence_matrix_dump_is_pinned_at_degree_6():
+    buf = io.StringIO()
+    write_consequence_matrix(6, buf)
+    data = buf.getvalue().encode()
+    assert len(data) == 7845013
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == "857731cca97601fcd1dbbd1d4d3b79d876b11486f3c5d5239cb32732ec9fd140"
 
 
 def test_deterministic_rebuild():
