@@ -10,19 +10,19 @@ generator, embedded in a one-hole monomial context over the remaining labels.
 
 One pipeline serves every content: one span enumerator, one system builder
 (deduplicated rows in one canonical row order over label-major columns), one
-elimination kernel and one certified-rank routine.  The kernel computes an
-echelon form over GF(p) (dense numpy rows, p a prime near 2^31); its length
-is the rank mod p.  For total degree <= 5 the echelon form at DEFAULT_PRIME,
-once per content, is back-substituted mod p on its free columns, lifted to
-symmetric residues and checked exactly: every consequence row must be the
-integer combination of the lifted rows at its pivot columns.  That proves
-rank over Q <= rank mod p, and rank mod p <= rank over Q always holds, so the
-lifted rows are the unique reduced echelon form over Q and their number is
-both ranks; an unlucky prime raises RankMismatchError instead of a wrong
-answer.  Only another requested prime is eliminated again, over the same
-rows.  Degree 6 (30240 multilinear monomials) is rank mod p only.  The
-reduced rows give a rewriting map into a quotient basis, the free columns,
-and from it traces of the symmetric-group action.
+elimination kernel and one certified-rank routine.  The kernel computes the
+reduced echelon form over GF(p) (block Gauss-Jordan in numpy, p a prime below
+2^31.5); its length is the rank mod p.  For total degree <= 5 the reduced
+form at DEFAULT_PRIME, once per content, is lifted to symmetric residues and
+checked exactly: every consequence row must be the integer combination of
+the lifted rows at its pivot columns.  That proves rank over Q <= rank mod
+p, and rank mod p <= rank over Q always holds, so the lifted rows are the
+unique reduced echelon form over Q and their number is both ranks; an
+unlucky prime raises RankMismatchError instead of a wrong answer.  Only
+another requested prime is eliminated again, over the same rows.  Degree 6
+(30240 multilinear monomials) is rank mod p only.  The reduced rows give a
+rewriting map into a quotient basis, the free columns, and from it traces of
+the symmetric-group action.
 
 Every elimination orders its columns label-major: by label sequence, then
 tree shape.  Every consequence row has four +-1 terms, two label sequences
@@ -370,93 +370,157 @@ def _check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
-_CHUNK_ROWS = 2048  # fixed block size; results do not depend on it
+_CHUNK_ROWS = 512  # rows per dense block; the result depends on neither constant
+_EXPANSION_ENTRIES = 1 << 18  # entries per sparse expansion run, bounding its memory
+
+
+def _substitute(rows: tuple, replaced: np.ndarray, by: tuple, ncols: int, p: int) -> tuple:
+    """Sparse rows with every entry x at a replaced column c swapped for -x * by[c].
+
+    Both ``rows`` and ``by`` are (owner, column, value) entry arrays grouped
+    by owner; row c of ``by`` is its entries owned by c, possibly none.  The
+    result is grouped by owner and sorted by column within it, with terms
+    summed mod p and zeros dropped; owners and columns are int32.  Rows are
+    expanded a run of whole rows at a time, so no run exceeds
+    ``_EXPANSION_ENTRIES`` entries unless a single row does.  Every term is
+    reduced mod p before it is summed, and a sum has at most one term per
+    entry of its row, so the sums stay far inside int64 for every p that
+    ``_check_modulus`` accepts.
+    """
+    owner, col, val = rows
+    if not len(owner):
+        return rows
+    counts = np.bincount(by[0], minlength=ncols)
+    stop = np.cumsum(counts)
+    start = stop - counts
+    hit = replaced[col]
+    ends = np.append(np.flatnonzero(np.diff(owner)) + 1, len(owner))
+    sizes = np.cumsum(np.where(hit, counts[col], 1))[ends - 1]  # expanded, up to each row end
+    out, lo, first, base = [], 0, 0, 0
+    while first < len(ends):  # rows first..last, at least one
+        last = max(first, int(np.searchsorted(sizes, base + _EXPANSION_ENTRIES, side="right")) - 1)
+        hi = int(ends[last])
+        o, c, v, h = owner[lo:hi].astype(np.int64), col[lo:hi], val[lo:hi], hit[lo:hi]
+        length = counts[c[h]]
+        at = np.repeat(start[c[h]] - np.cumsum(length) + length, length) + np.arange(length.sum())
+        key = np.concatenate([o[~h] * ncols + c[~h], np.repeat(o[h], length) * ncols + by[1][at]])
+        term = np.concatenate([v[~h], p - np.repeat(v[h], length) * by[2][at] % p])
+        order = np.argsort(key)  # equal keys are summed: no order among them
+        key = key[order]
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        sums = np.add.reduceat(term[order], heads) % p
+        keep = sums != 0
+        key = key[heads][keep]
+        out.append(((key // ncols).astype(np.int32), (key % ncols).astype(np.int32), sums[keep]))
+        lo, first, base = hi, last + 1, sizes[last]
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _gauss_jordan(mat: np.ndarray, p: int) -> np.ndarray:
+    """Gauss-Jordan on a dense block over GF(p), in place; return the pivot columns.
+
+    Left to right, a row not yet a pivot row that is nonzero in a column
+    becomes its pivot row: it moves up below the earlier ones, its tail is
+    scaled by the inverse of its entry there, and the column is cleared from
+    every row, its own included.  Such a row is zero left of the column, so
+    fill-in only lands to the right.  The pivot rows end up first, in the
+    order of their columns.  Entries stay below p, so every product stays
+    below p^2 < 2^63.
+    """
+    found = []
+    for j in range(mat.shape[1]):
+        column = mat[:, j]
+        lead = column[len(found):].nonzero()[0]
+        if not lead.size:
+            continue
+        r0 = len(found)
+        if lead[0]:
+            mat[[r0, r0 + lead[0]]] = mat[[r0 + lead[0], r0]]
+        found.append(j)
+        row = mat[r0]
+        inv = pow(int(row[j]), p - 2, p)
+        row[j] = 0
+        row *= inv
+        row %= p
+        tail = row.nonzero()[0]
+        others = column.nonzero()[0]
+        if others.size and tail.size:
+            idx = others[:, None], tail
+            mat[idx] = (mat[idx] - column[others, None] * row[tail]) % p
+        column[others] = 0
+        if len(found) == len(mat):
+            break
+    return np.array(found)
 
 
 def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, dict[int, int]]:
-    """Echelon form over GF(p): pivot column -> {tail column: value}.
+    """The reduced echelon form over GF(p): pivot column -> {free column: value}.
 
     The one elimination kernel and the only code that uses numpy; the rank
-    mod p is the length of its result, whose values are Python ints.  Rows
-    are loaded a fixed-size block at a time into a dense column-major
-    buffer and swept left to right: at each column the whole block is
-    reduced against the cached pivot, or the first unreduced row of the
-    block becomes the new pivot (stored sparsely, tail scaled to pivot 1).
-    Each pivot sits at the leftmost column of its row, and a tail may still
-    touch later pivot columns.  Sequential and deterministic; the block size
-    only amortizes overhead.  The rank does not depend on the column order,
-    since permuting columns multiplies the matrix by an invertible one, but
-    the fill-in does: label-major columns put the two tree shapes of each
-    label sequence in a row side by side.
+    mod p is the length of its result, whose values are Python ints in
+    [1, p), pivot entries (all 1) left out.  A cache holds every pivot row
+    found so far in reduced form, as (pivot, column, value) entry arrays
+    grouped by pivot, with tail entries only on free columns right of the
+    pivot.  The rows pass a fixed-size block at a time:
+
+    1. clear: one sparse product subtracts row[c] * cache[c] at every
+       cached pivot c, so no reduction chains through several pivots and a
+       row in the span of earlier blocks becomes zero;
+    2. load: the residual goes into a dense block over only the columns it
+       touches;
+    3. sweep: Gauss-Jordan inside the block;
+    4. substitute: the new pivots' columns are replaced in the cached rows,
+       and the new rows merge into the cache by a stable sort on pivot.
+
+    The reduced echelon form is unique, so neither the block size nor the
+    row order changes the result, only the work.  Label-major columns put
+    the two tree shapes of each label sequence in a row side by side, which
+    keeps the tails short.  Sequential and deterministic.
     """
     _check_modulus(p)
-    piv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    pending = np.zeros(ncols, dtype=bool)
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        block = rows[start:start + _CHUNK_ROWS]
-        col = prow = None  # views would keep the previous block resident
-        mat = np.zeros((len(block), ncols), dtype=np.int64, order="F")
-        for i, row in enumerate(block):
-            for c, v in row.items():
-                mat[i, c] = v % p
-                pending[c] = True
-        cursor = 0
-        while True:
-            # fill-in only lands to the right, so a forward scan suffices
-            step = int(pending[cursor:].argmax())
-            c = cursor + step
-            if not pending[c]:
-                break
-            pending[c] = False
-            cursor = c
-            col = mat[:, c]
-            nz = np.flatnonzero(col)
-            if not nz.size:
-                continue
-            entry = piv.get(c)
-            if entry is None:
-                r0 = int(nz[0])
-                inv = pow(int(col[r0]), p - 2, p)
-                prow = mat[r0]
-                support = np.flatnonzero(prow)
-                tail = support[support > c]
-                tvals = (prow[tail] * inv) % p
-                piv[c] = (tail, tvals)
-                mat[r0, support] = 0  # freeze the pivot row out of the block
-                nz = nz[1:]
-            else:
-                tail, tvals = entry
-            if nz.size:
-                if tail.size:  # entries and products stay below p^2 < 2^62
-                    idx = np.ix_(nz, tail)
-                    mat[idx] = (mat[idx] - np.outer(col[nz], tvals)) % p
-                    pending[tail] = True
-                col[nz] = 0
-    return {c: dict(zip(tail.tolist(), tvals.tolist())) for c, (tail, tvals) in piv.items()}
+    pivot = np.zeros(ncols, dtype=bool)
+    cache = (np.zeros(0, dtype=np.int32),) * 2 + (np.zeros(0, dtype=np.int64),)
+    for first in range(0, len(rows), _CHUNK_ROWS):
+        entries = [(i, c, v % p) for i, row in enumerate(rows[first:first + _CHUNK_ROWS])
+                   for c, v in row.items()]
+        block = tuple(np.array(entries, dtype=np.int64).reshape(-1, 3).T)
+        r, c, v = _substitute(block, pivot, cache, ncols, p)
+        if not len(r):
+            continue
+        used, c = np.unique(c, return_inverse=True)
+        _, r = np.unique(r, return_inverse=True)
+        mat = np.zeros((r[-1] + 1, len(used)), dtype=np.int64)
+        mat[r, c] = v
+        found = used[_gauss_jordan(mat, p)]
+        mat = mat[:len(found)]
+        r, c = np.nonzero(mat)
+        new = (found[r], used[c], mat[r, c])
+        fresh = np.zeros(ncols, dtype=bool)
+        fresh[found] = True
+        touched = np.zeros(ncols, dtype=bool)  # pivots whose row has an entry at a new one
+        touched[cache[0][fresh[cache[1]]]] = True
+        sel = touched[cache[0]]
+        changed = _substitute(tuple(a[sel] for a in cache), fresh, new, ncols, p)
+        cache = [np.concatenate(parts) for parts in zip((a[~sel] for a in cache), changed, new)]
+        order = np.argsort(cache[0], kind="stable")
+        cache = tuple(a[order] for a in cache)
+        pivot |= fresh
+    if (pivot[cache[1]] | (cache[1] <= cache[0])).any():
+        raise AssertionError("the echelon form mod p is not reduced")
+    echelon: dict[int, dict[int, int]] = {c: {} for c in np.flatnonzero(pivot).tolist()}
+    for c, k, v in zip(*(a.tolist() for a in cache)):
+        echelon[c][k] = v
+    return echelon
 
 
 def _lift(echelon: dict[int, dict[int, int]], p: int) -> dict[int, dict[int, int]]:
-    """The reduced echelon form mod p, lifted to symmetric residues.
+    """The reduced echelon form mod p on symmetric residues, pivot entries included.
 
-    Back substitution runs from the rightmost pivot leftwards: a tail entry
-    at a pivot column is replaced by that pivot's already reduced row, so
-    only free (non-pivot) columns remain.  Each lifted row maps its pivot
-    column to 1 and free columns to integers in (-p/2, p/2].
+    Each lifted row maps its pivot column to 1 and free columns to integers
+    in (-p/2, p/2].
     """
-    reduced: dict[int, dict[int, int]] = {}
-    for c in sorted(echelon, reverse=True):
-        row: dict[int, int] = {}
-        for k, v in echelon[c].items():
-            if k in reduced:  # a pivot right of c: substitute its reduced row
-                for j, x in reduced[k].items():
-                    row[j] = (row.get(j, 0) - v * x) % p
-            else:
-                row[k] = (row.get(k, 0) + v) % p
-        reduced[c] = {j: x for j, x in row.items() if x}
-    return {
-        c: {c: 1, **{j: x - p if x > p // 2 else x for j, x in sorted(reduced[c].items())}}
-        for c in sorted(reduced)
-    }
+    return {c: {c: 1, **{j: x - p if x > p // 2 else x for j, x in row.items()}}
+            for c, row in echelon.items()}
 
 
 def _spans(reduced: dict[int, dict[int, int]], rows: list[dict]) -> bool:
@@ -521,7 +585,7 @@ def _system(content: tuple[int, ...]) -> tuple:
 def _exact_system(content: tuple[int, ...]) -> tuple:
     """(columns, rows, reduced pivots) of a component of total degree <= 5.
 
-    ``_system`` plus its reduced echelon form: the echelon form mod
+    ``_system`` plus its reduced echelon form: the reduced form mod
     DEFAULT_PRIME is lifted and kept only if it spans every row over Z; its
     length is then the rank over Q and mod p.  Built once per content,
     shared read-only by rank and basis computations.

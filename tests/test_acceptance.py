@@ -134,7 +134,7 @@ def test_criterion_05_oracle_dimensions():
 
 @pytest.mark.skipif(
     not os.environ.get("ASSOSYM_ACCEPT_N6"),
-    reason="optional degree-6 modular run (a few minutes); set ASSOSYM_ACCEPT_N6=1",
+    reason="optional degree-6 modular run (about half a minute); set ASSOSYM_ACCEPT_N6=1",
 )
 def test_criterion_05_optional_degree_6():
     start = time.monotonic()

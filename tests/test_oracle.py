@@ -242,13 +242,58 @@ def random_rows(seed: int, count: int, ncols: int) -> list[dict]:
     return rows
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 2048])  # 1: every reduction is a single row
-@pytest.mark.parametrize("seed, count", [(0, 30), (1, 30), (2, 30), (3, 9), (4, 9), (5, 9)])
+def spanned_rows(seed: int, count: int, head: int) -> list[dict]:
+    """``count`` rows over 300 columns whose rows after the first ``head`` lie in their span.
+
+    Each group of ten columns gets six rows of four entries from +-1..+-3,
+    so the rank is at most 181 and every reduced row stays inside its group;
+    one more row is a single entry, a pivot with an empty tail.  The first
+    ``head // 2`` rows are three rows of each group and integer combinations
+    of three of those, shuffled; the next ``head // 2`` are the other rows
+    and combinations of any three, shuffled; the rest are combinations.
+    """
+    rng = random.Random(seed)
+
+    def entry():
+        return rng.choice((-1, 1)) * rng.randint(1, 3)
+
+    def combination(pool):
+        combo: dict = {}
+        for row in rng.sample(pool, 3):
+            scale = entry()
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + scale * v
+        return {c: v for c, v in combo.items() if v}
+
+    groups = [[{c: entry() for c in rng.sample(range(g, g + 10), 4)} for _ in range(6)]
+              for g in range(0, 300, 10)]
+    first = [row for group in groups for row in group[:3]]
+    rest = [row for group in groups for row in group[3:]] + [{rng.randrange(300): entry()}]
+    rows = []
+    for new, pool in ((first, first), (rest, first + rest)):
+        block = new + [combination(pool) for _ in range(head // 2 - len(new))]
+        rng.shuffle(block)
+        rows += block
+    return rows + [combination(first + rest) for _ in range(count - head)]
+
+
+@pytest.mark.parametrize("seed, count, chunk", [
+    *((seed, count, chunk)  # chunk 1: every reduction is a single row
+      for seed, count in [(0, 30), (1, 30), (2, 30), (3, 9), (4, 9), (5, 9)]
+      for chunk in (1, 3, 2048)),
+    (6, 1200, oracle._CHUNK_ROWS),  # three blocks, the last in the span of the first two
+])
 def test_kernel_matches_fraction_gauss_jordan_on_random_rows(monkeypatch, chunk, seed, count):
     monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk)
+    sweeps = []
+    sweep = oracle._gauss_jordan
+    monkeypatch.setattr(oracle, "_gauss_jordan", lambda *args: sweeps.append(1) or sweep(*args))
     p = DEFAULT_PRIME
-    rows = random_rows(seed, count, 14)
-    lifted = _lift(_echelon(rows, 14, p), p)
+    if count > 30:
+        ncols, rows = 300, spanned_rows(seed, count, 2 * chunk)
+    else:
+        ncols, rows = 14, random_rows(seed, count, 14)
+    lifted = _lift(_echelon(rows, ncols, p), p)
     got = {c: {k: v % p for k, v in row.items()} for c, row in lifted.items()}
     want = {
         c: {k: v.numerator * pow(v.denominator, -1, p) % p for k, v in row.items()}
@@ -258,6 +303,40 @@ def test_kernel_matches_fraction_gauss_jordan_on_random_rows(monkeypatch, chunk,
     assert got == want
     if count < 14:  # rank deficient: the reduced rows carry free columns
         assert len(got) <= count and any(len(row) > 1 for row in got.values())
+    if count > 30:
+        assert len(rows) > 2 * chunk and len(got) < ncols
+        assert len(fraction_rref(rows[:2 * chunk])) == len(want)
+        assert len(sweeps) == 2  # the third block's residual is empty: no sweep
+        assert any(len(row) == 1 for row in got.values())  # a pivot with an empty tail
+        assert any(len(row) > 2 for row in got.values())
+
+
+def test_kernel_returns_the_reduced_form():
+    contents = [c for total in range(1, 6) for c in positive_contents(total)] + [(3, 2, 1)]
+    assert len(contents) == 32
+    p = DEFAULT_PRIME
+    for content in contents:
+        columns, rows = _system(content)
+        echelon = _echelon(rows, len(columns), p)
+        for c, row in echelon.items():  # tails only on free columns right of the pivot
+            assert all(k > c and k not in echelon and 0 < v < p for k, v in row.items())
+        lifted = _lift(echelon, p)  # the residue map alone
+        assert all(row[c] == 1 for c, row in lifted.items())
+        assert {c: {k: v % p for k, v in row.items() if k != c}
+                for c, row in lifted.items()} == echelon
+
+
+@pytest.mark.parametrize("content", [(2, 2, 1), (1,) * 5, (3, 2, 1)])
+def test_kernel_result_does_not_depend_on_block_or_expansion_size(monkeypatch, content):
+    columns, rows = _system(content)
+    forms = []
+    for name, value in [("_CHUNK_ROWS", 512), ("_CHUNK_ROWS", 1), ("_CHUNK_ROWS", 3),
+                        ("_CHUNK_ROWS", 2048), ("_EXPANSION_ENTRIES", 1)]:
+        with monkeypatch.context() as m:
+            m.setattr(oracle, name, value)
+            form = _echelon(rows, len(columns), DEFAULT_PRIME)
+        forms.append([(c, list(row.items())) for c, row in form.items()])
+    assert all(form == forms[0] for form in forms)
 
 
 @pytest.mark.parametrize(
