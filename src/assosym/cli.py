@@ -215,31 +215,30 @@ def _check(name: str, expected, actual) -> dict:
             "pass": actual == expected}
 
 
+LONG_RUN_COLUMNS = 1680  # the 1^5 component: every input of degree <= 5 runs without --allow-n6
+
+
 def _verify_checks(args) -> list[dict]:
-    if args.n is not None:
-        n = args.n
-        if n == 6 and not args.allow_n6:
-            raise UsageError("degree 6 is a long modular-only run; pass --allow-n6")
+    n = args.n
+    content, columns = oracle._component(
+        oracle._multilinear(n) if n is not None else _parse_multidegree(args.multidegree))
+    if columns > LONG_RUN_COLUMNS and not args.allow_n6:
+        raise UsageError(f"over {LONG_RUN_COLUMNS} columns is a long run; pass --allow-n6")
+    if n is not None:
         if args.dump_matrix:
             dump = io.StringIO()  # built first, so a failure leaves FILE untouched
             oracle.write_consequence_matrix(n, dump)
             with open(args.dump_matrix, "w", encoding="utf-8") as fh:
                 fh.write(dump.getvalue())
         actual = oracle.quotient_dim(n, prime=args.prime, second_prime=args.second_prime)
-        checks = [_check(f"quotient dimension, degree {n}", algebra.codimension(n), actual)]
-        if 2 <= n <= 5:
-            got = oracle.oracle_multiplicities(n).render()
-            checks.append(_check(f"irreducible multiplicities, degree {n}",
-                                 algebra.sn_decomposition(n).render(), got))
-        return checks
-    multidegree = _parse_multidegree(args.multidegree)
-    if sum(multidegree) == 6 and not args.allow_n6:
-        raise UsageError("total degree 6 is a long modular-only run; pass --allow-n6")
-    actual = oracle.quotient_dim_multigraded(
-        multidegree, prime=args.prime, second_prime=args.second_prime
-    )
-    return [_check(f"multigraded dimension, degree {','.join(map(str, multidegree))}",
-                   algebra.multigraded_dim(multidegree), actual)]
+        return [_check(f"quotient dimension, degree {n}", algebra.codimension(n), actual),
+                _check(f"irreducible multiplicities, degree {n}",
+                       algebra.sn_decomposition(n).render(),
+                       oracle.oracle_multiplicities(n).render())]
+    actual = oracle.quotient_dim_multigraded(content, prime=args.prime,
+                                             second_prime=args.second_prime)
+    return [_check(f"multigraded dimension, degree {','.join(map(str, content))}",
+                   algebra.multigraded_dim(content), actual)]
 
 
 def cmd_verify(args) -> tuple[str, int]:
@@ -312,7 +311,7 @@ def build_parser(default_format: str | None) -> _Parser:
     p.add_argument("--second-prime", type=int,
                    help="cross-check the rank modulo a second prime")
     p.add_argument("--allow-n6", action="store_true",
-                   help="permit the degree-6 modular-only computation")
+                   help="permit components of more than 1680 columns, up to 30240")
     p.add_argument("--dump-matrix", metavar="FILE",
                    help="dump the consequence matrix as sparse triplets")
     p.set_defaults(func=cmd_verify)

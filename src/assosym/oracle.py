@@ -10,19 +10,19 @@ generator, embedded in a one-hole monomial context over the remaining labels.
 
 One pipeline serves every content: one span enumerator, one system builder
 (deduplicated rows in one canonical row order over label-major columns), one
-elimination kernel and one certified-rank routine.  The kernel computes the
-reduced echelon form over GF(p) (block Gauss-Jordan in numpy, p a prime below
-2^31.5); its length is the rank mod p.  For total degree <= 5 the reduced
+elimination kernel and one certificate, all on numpy entry arrays.  The
+kernel computes the reduced echelon form over GF(p) (block Gauss-Jordan, p a
+prime below 2^31.5); its number of pivots is the rank mod p.  The reduced
 form at DEFAULT_PRIME, once per content, is lifted to symmetric residues and
 checked exactly: every consequence row must be the integer combination of
-the lifted rows at its pivot columns.  That proves rank over Q <= rank mod
-p, and rank mod p <= rank over Q always holds, so the lifted rows are the
-unique reduced echelon form over Q and their number is both ranks; an
-unlucky prime raises RankMismatchError instead of a wrong answer.  Only
-another requested prime is eliminated again, over the same rows.  Degree 6
-(30240 multilinear monomials) is rank mod p only.  The reduced rows give a
-rewriting map into a quotient basis, the free columns, and from it traces of
-the symmetric-group action.
+the lifted rows at its pivot columns.  That proves rank over Q <= rank mod p, and rank
+mod p <= rank over Q always holds, so the lifted rows are the unique reduced
+echelon form over Q and their number is both ranks; an unlucky prime raises
+RankMismatchError instead of a wrong answer.  Only another requested prime
+is eliminated again, over the same rows.  One guard bounds every component
+by its column count, MAX_COLUMNS.  The reduced rows give a rewriting map into
+a quotient basis, the free columns, and from it traces of the symmetric-group
+action.
 
 Every elimination orders its columns label-major: by label sequence, then
 tree shape.  Every consequence row has four +-1 terms, two label sequences
@@ -47,8 +47,8 @@ monomials.
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, permutations, product
-from math import gcd, isqrt
+from itertools import combinations, product, repeat
+from math import comb, gcd, isqrt
 from operator import add
 
 import numpy as np
@@ -58,6 +58,7 @@ from .decomposition import GROUP_SYMMETRIC, Decomposition, Label
 from .partitions import generate_partitions
 
 DEFAULT_PRIME = 2**31 - 1  # Mersenne; any prime below 2^31.5 keeps int64 exact
+MAX_COLUMNS = 30240  # the 1^6 component: 42 tree shapes times 720 arrangements
 
 HOLE = 0  # reserved leaf label marking the slot of a one-hole context
 
@@ -131,13 +132,25 @@ def _graft(outer: int, size: int, leaf: int, inner: int, inner_size: int) -> int
         *range(leaf + inner_size + 1, size + inner_size),
     ]
     grafted = relabel(_templates(size)[outer], images)
-    return _templates(size + inner_size - 1).index(grafted)
+    return _shape_index(size + inner_size - 1)[grafted]
+
+
+@cache
+def _shape_index(n: int) -> dict:
+    """Each tree shape with n leaves -> its index in ``_templates(n)``."""
+    return {t: i for i, t in enumerate(_templates(n))}
 
 
 @cache
 def _arrangements(labels: tuple[int, ...]) -> tuple:
-    """The distinct leaf sequences over a label multiset, in lexicographic order."""
-    return tuple(sorted(set(permutations(labels))))
+    """The distinct leaf sequences over a label multiset, in lexicographic order.
+
+    Built head by head: 11 equal labels give one sequence, not 11! to deduplicate.
+    """
+    if not labels:
+        return ((),)
+    return tuple((head,) + rest for head in sorted(set(labels))
+                 for rest in _arrangements(_without(labels, (head,))))
 
 
 @cache
@@ -163,11 +176,39 @@ def _label_major(labels: tuple[int, ...]) -> list:
     return [m for j in range(step) for m in ambient[j::step]]
 
 
+def _component(content, least: int = 1) -> tuple:
+    """(parts, columns) of a content, checked: the one size guard of the oracle.
+
+    ValueError unless the parts are positive integers, of total degree n >=
+    ``least``, and the columns, Catalan(n-1) tree shapes times n!/prod(l_i!)
+    leaf arrangements, at most MAX_COLUMNS.  Both factors grow with each leaf,
+    so counting stops at the first leaf past the limit: huge inputs cost nothing.
+    """
+    parts, n, arrangements, columns = [], 0, 1, 0
+    for part in content:
+        if int(part) != part or part < 1:
+            raise ValueError(f"multidegree parts must be positive integers, got {part!r}")
+        for k in range(1, int(part) + 1):
+            n += 1
+            arrangements = arrangements * n // k
+            columns = comb(2 * n - 2, n - 1) // n * arrangements
+            if columns > MAX_COLUMNS:
+                raise ValueError(f"the component has more than {MAX_COLUMNS} columns "
+                                 "(tree shapes times leaf arrangements)")
+        parts.append(int(part))
+    if n < least:
+        raise ValueError(f"the degree must be at least {least}")
+    return tuple(parts), columns
+
+
+def _multilinear(n: int, least: int = 2) -> tuple[int, ...]:
+    """The content (1, ..., 1) of degree n, checked by ``_component``."""
+    return _component(repeat(1, n), least)[0]
+
+
 def enumerate_multilinear(n: int) -> list:
     """All n! * Catalan(n-1) multilinear monomials of degree n, canonical order."""
-    if not 1 <= n <= 6:
-        raise ValueError("enumerate_multilinear is limited to 1 <= n <= 6")
-    return list(monomials_with_labels(tuple(range(1, n + 1))))
+    return list(monomials_with_labels(_content_labels(_multilinear(n, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +367,26 @@ def consequence_span(n: int) -> list[dict]:
 
     The same list as ``consequence_span_multigraded((1,) * n)``.
     """
-    if not 2 <= n <= 6:
-        raise ValueError("consequence_span is limited to 2 <= n <= 6")
-    return _monomial_span(tuple(range(1, n + 1)))
+    return _monomial_span(_content_labels(_multilinear(n)))
 
 
 def consequence_span_multigraded(content) -> list[dict]:
     """Spanning set of the T-ideal component with the given generator content."""
-    return _monomial_span(_content_labels(tuple(int(c) for c in content)))
+    return _monomial_span(_content_labels(_component(content)[0]))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def _consequence_rows(elements) -> list[dict]:
+def _consequence_rows(elements) -> tuple:
     """Consequences {column: coefficient} as integer rows, deduplicated.
 
     Rows equal up to sign and content collapse to one normalized key: no
     content, positive at the minimal column.  Keys come out in one canonical
     order, by descending last column and then by key: neither the rank nor
     the reduced echelon form depends on row order, but this one keeps the
-    elimination sweeps small.
+    elimination sweeps small.  The result is one (row, column, value) triple
+    of int64 entry arrays, row i the i-th key, its entries by column.
     """
     keys = set()
     for row in elements:
@@ -355,7 +395,9 @@ def _consequence_rows(elements) -> list[dict]:
             if row[min(row)] < 0:
                 content = -content
             keys.add(tuple(sorted((k, v // content) for k, v in row.items())))
-    return [dict(key) for key in sorted(keys, key=lambda key: (-key[-1][0], key))]
+    ordered = sorted(keys, key=lambda key: (-key[-1][0], key))
+    entries = [(i, c, v) for i, key in enumerate(ordered) for c, v in key]
+    return tuple(np.array(entries, dtype=np.int64).reshape(-1, 3).T)
 
 
 @cache
@@ -453,15 +495,15 @@ def _gauss_jordan(mat: np.ndarray, p: int) -> np.ndarray:
     return np.array(found)
 
 
-def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, dict[int, int]]:
-    """The reduced echelon form over GF(p): pivot column -> {free column: value}.
+def _echelon(rows: tuple, ncols: int, p: int) -> tuple:
+    """The reduced echelon form over GF(p) as (pivot mask, reduced rows).
 
-    The one elimination kernel and the only code that uses numpy; the rank
-    mod p is the length of its result, whose values are Python ints in
-    [1, p), pivot entries (all 1) left out.  A cache holds every pivot row
-    found so far in reduced form, as (pivot, column, value) entry arrays
-    grouped by pivot, with tail entries only on free columns right of the
-    pivot.  The rows pass a fixed-size block at a time:
+    The one elimination kernel, on (row, column, value) entry triples grouped
+    by row.  The reduced rows are (pivot, column, value) arrays grouped by
+    pivot and by column within it, values in [1, p), tail entries only on
+    free columns right of the pivot, pivot entries (all 1) left out.  A cache
+    holds every pivot row found so far while the rows pass a fixed-size
+    block at a time:
 
     1. clear: one sparse product subtracts row[c] * cache[c] at every
        cached pivot c, so no reduction chains through several pivots and a
@@ -478,13 +520,13 @@ def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, dict[int, int]]:
     keeps the tails short.  Sequential and deterministic.
     """
     _check_modulus(p)
+    owner, col, val = rows
     pivot = np.zeros(ncols, dtype=bool)
     cache = (np.zeros(0, dtype=np.int32),) * 2 + (np.zeros(0, dtype=np.int64),)
-    for first in range(0, len(rows), _CHUNK_ROWS):
-        entries = [(i, c, v % p) for i, row in enumerate(rows[first:first + _CHUNK_ROWS])
-                   for c, v in row.items()]
-        block = tuple(np.array(entries, dtype=np.int64).reshape(-1, 3).T)
-        r, c, v = _substitute(block, pivot, cache, ncols, p)
+    nrows = int(owner[-1]) + 1 if len(owner) else 0
+    cuts = np.searchsorted(owner, range(0, nrows + _CHUNK_ROWS, _CHUNK_ROWS))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        r, c, v = _substitute((owner[lo:hi], col[lo:hi], val[lo:hi] % p), pivot, cache, ncols, p)
         if not len(r):
             continue
         used, c = np.unique(c, return_inverse=True)
@@ -507,36 +549,27 @@ def _echelon(rows: list[dict], ncols: int, p: int) -> dict[int, dict[int, int]]:
         pivot |= fresh
     if (pivot[cache[1]] | (cache[1] <= cache[0])).any():
         raise AssertionError("the echelon form mod p is not reduced")
-    echelon: dict[int, dict[int, int]] = {c: {} for c in np.flatnonzero(pivot).tolist()}
-    for c, k, v in zip(*(a.tolist() for a in cache)):
-        echelon[c][k] = v
-    return echelon
+    return pivot, cache
 
 
-def _lift(echelon: dict[int, dict[int, int]], p: int) -> dict[int, dict[int, int]]:
-    """The reduced echelon form mod p on symmetric residues, pivot entries included.
+def _lift(values: np.ndarray, p: int) -> np.ndarray:
+    """Residues mod p as their symmetric representatives in (-p/2, p/2]."""
+    return np.where(values > p // 2, values - p, values)
 
-    Each lifted row maps its pivot column to 1 and free columns to integers
-    in (-p/2, p/2].
+
+def _spans(rows: tuple, pivot: np.ndarray, lifted: tuple) -> bool:
+    """Whether each row equals, over Z, the sum of row[c] * lifted[c] over pivots c.
+
+    ``lifted`` holds the reduced rows on symmetric residues, pivot entries
+    left out, over ``len(pivot)`` columns.  A row is spanned iff its residual,
+    its entries at free columns minus that sum, is zero: one ``_substitute``
+    mod 2^40.  Nothing wraps: a row's entries (four +-1 terms) sum to at most
+    4 in absolute value and a lifted entry is at most p/2 < 2^30.8, so every
+    product stays below 2^33 and every residual below 4 + 4 * p/2 < 2^34 <
+    2^40; it is zero over Z iff it is zero mod 2^40.  The values go in
+    signed: reduced into [0, 2^40), a product of two would overflow int64.
     """
-    return {c: {c: 1, **{j: x - p if x > p // 2 else x for j, x in row.items()}}
-            for c, row in echelon.items()}
-
-
-def _spans(reduced: dict[int, dict[int, int]], rows: list[dict]) -> bool:
-    """Whether each row equals, over Z, the sum of row[c] * reduced[c] over pivots c.
-
-    If so, the reduced rows span the rows over Q, so the rational rank is at
-    most their number.
-    """
-    for row in rows:
-        combination: dict[int, int] = {}
-        for c, v in row.items():
-            for k, x in reduced.get(c, {}).items():
-                combination[k] = combination.get(k, 0) + v * x
-        if {k: x for k, x in combination.items() if x} != row:
-            return False
-    return True
+    return not len(_substitute(rows, pivot, lifted, len(pivot), 1 << 40)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -571,101 +604,74 @@ class QuotientBasis:
         return out
 
 
+@cache
 def _system(content: tuple[int, ...]) -> tuple:
-    """(columns, rows) of a component: the one builder, for every content.
+    """(column count, rows, pivot mask, lifted rows) of a component: the one builder.
 
-    Columns are the component's monomials in label-major order, and the span
-    is generated straight over them; rows keep the canonical row order.
+    The span is generated over label-major columns, rows in the canonical
+    order.  The reduced form mod DEFAULT_PRIME is lifted and kept only if it
+    spans every row over Z; its number of pivots is then the rank over Q and
+    mod p.  Built once per content, shared read-only by rank and basis code.
     """
     labels = _content_labels(content)
-    return _label_major(labels), _consequence_rows(_span(labels, label_major=True))
-
-
-@cache
-def _exact_system(content: tuple[int, ...]) -> tuple:
-    """(columns, rows, reduced pivots) of a component of total degree <= 5.
-
-    ``_system`` plus its reduced echelon form: the reduced form mod
-    DEFAULT_PRIME is lifted and kept only if it spans every row over Z; its
-    length is then the rank over Q and mod p.  Built once per content,
-    shared read-only by rank and basis computations.
-    """
-    columns, rows = _system(content)
+    ncols = len(_templates(len(labels))) * len(_arrangements(labels))
+    rows = _consequence_rows(_span(labels, label_major=True))
     p = DEFAULT_PRIME
-    pivots = _lift(_echelon(rows, len(columns), p), p)
-    if not _spans(pivots, rows):
+    pivot, (owner, col, val) = _echelon(rows, ncols, p)
+    lifted = (owner, col, _lift(val, p))
+    if not _spans(rows, pivot, lifted):
         raise RankMismatchError(f"the echelon form mod {p} does not lift to one over Q")
-    return columns, rows, pivots
+    return ncols, rows, pivot, lifted
 
 
 @cache
 def quotient_basis(n: int) -> QuotientBasis:
     """Exact reduced row echelon data for the degree-n multilinear quotient."""
-    if not 2 <= n <= 5:
-        raise ValueError("quotient_basis is limited to 2 <= n <= 5")
-    columns, _, pivots = _exact_system((1,) * n)
-    basis = tuple(m for i, m in enumerate(columns) if i not in pivots)
-    rewrite_map = {}
-    for c, row in pivots.items():
-        rewrite_map[columns[c]] = {columns[k]: -v for k, v in row.items() if k != c}
+    content = _multilinear(n)
+    columns = _label_major(_content_labels(content))
+    _, _, pivot, (owner, col, val) = _system(content)
+    basis = tuple(columns[i] for i in np.flatnonzero(~pivot).tolist())
+    rewrite_map: dict = {columns[c]: {} for c in np.flatnonzero(pivot).tolist()}
+    for c, k, v in zip(owner.tolist(), col.tolist(), val.tolist()):
+        rewrite_map[columns[c]][columns[k]] = -v
     return QuotientBasis(n=n, monomials=basis, rewrite_map=rewrite_map)
 
 
 def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
-    """Quotient dimension of one component from its rank modulo a prime.
+    """Quotient dimension of one component from its certified rank over Q.
 
-    Up to total degree 5 the exact system's length is the rank mod
-    DEFAULT_PRIME; another prime eliminates the same rows and must give that
-    rank.  At degree 6 the modular rank stands alone.  ``second_prime`` must
-    agree.
+    Another requested prime eliminates the same rows and must give that rank.
     """
     primes = [p for p in (DEFAULT_PRIME if prime is None else prime, second_prime)
               if p is not None]
     for p in primes:  # a bad modulus fails before any elimination work
         _check_modulus(p)
-    exact = sum(content) <= 5
-    columns, rows, pivots = _exact_system(content) if exact else (*_system(content), None)
-    ranks = [len(pivots) if exact and p == DEFAULT_PRIME else len(_echelon(rows, len(columns), p))
+    ncols, rows, pivot, _ = _system(content)
+    rank = int(pivot.sum())
+    ranks = [rank if p == DEFAULT_PRIME else int(_echelon(rows, ncols, p)[0].sum())
              for p in primes]
-    rank_p = ranks[0]
-    if ranks[-1] != rank_p:
-        raise RankMismatchError(f"rank {rank_p} mod {primes[0]} but {ranks[-1]} mod {primes[-1]}")
-    if exact and len(pivots) != rank_p:
+    if ranks[-1] != ranks[0]:
         raise RankMismatchError(
-            f"modular rank {rank_p} != rational rank {len(pivots)}; retry with a "
-            "different prime"
-        )
-    return len(columns) - rank_p
+            f"rank {ranks[0]} mod {primes[0]} but {ranks[-1]} mod {primes[-1]}")
+    if ranks[0] != rank:
+        raise RankMismatchError(f"modular rank {ranks[0]} != rational rank {rank}; "
+                                "retry with a different prime")
+    return ncols - rank
 
 
 def quotient_dim(n: int, prime: int | None = None, second_prime: int | None = None) -> int:
     """Dimension of the multilinear quotient P_n / (P_n . T-ideal part).
 
-    The multigraded component of content (1, ..., 1).  Modular elimination,
-    certified for n <= 5 by the exact system (a disagreement raises
-    RankMismatchError).  At n = 6 the result rests on the prime-field rank
-    alone (pass ``second_prime`` to cross-check two primes).
+    The component of content (1, ..., 1), certified over Q like every other.
     """
-    if not 2 <= n <= 6:
-        raise ValueError("quotient_dim is limited to 2 <= n <= 6")
-    return _certified_dim((1,) * n, prime, second_prime)
+    return _certified_dim(_multilinear(n), prime, second_prime)
 
 
 def quotient_dim_multigraded(
     content, prime: int | None = None, second_prime: int | None = None
 ) -> int:
-    """Dimension of the component with the given positive multidegree.
-
-    Rationally certified for total degree <= 5; total degree 6 runs the
-    modular path only, like the multilinear degree-6 case (pass
-    ``second_prime`` to cross-check two primes).
-    """
-    content = tuple(int(c) for c in content)
-    if not content or any(c < 1 for c in content):
-        raise ValueError(f"multidegree parts must be positive, got {content}")
-    if sum(content) > 6:
-        raise ValueError("quotient_dim_multigraded is limited to total degree <= 6")
-    return _certified_dim(content, prime, second_prime)
+    """Dimension of the component with the given positive multidegree, like ``quotient_dim``."""
+    return _certified_dim(_component(content)[0], prime, second_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +698,7 @@ def permutation_trace(n: int, images: tuple[int, ...]) -> int:
 
 def quotient_character(n: int) -> CharacterVector:
     """Exact character of the quotient, one trace per cycle type."""
-    if not 2 <= n <= 5:
-        raise ValueError("quotient_character is limited to 2 <= n <= 5")
+    _multilinear(n)  # before the partitions of n are listed
     return CharacterVector(n, tuple(
         permutation_trace(n, class_representative(mu)) for mu in generate_partitions(n)
     ))
@@ -701,8 +706,6 @@ def quotient_character(n: int) -> CharacterVector:
 
 def oracle_multiplicities(n: int) -> Decomposition:
     """Decomposition recovered from the quotient character by inner products."""
-    if not 2 <= n <= 5:
-        raise ValueError("oracle_multiplicities is limited to 2 <= n <= 5")
     chi = quotient_character(n)
     terms: dict[Label, int] = {}
     for lam in generate_partitions(n):
@@ -722,11 +725,7 @@ def write_consequence_matrix(n: int, stream) -> None:
     First line: ``nrows ncols``; then one ``row col numerator/denominator``
     triple per nonzero, rows and columns 0-based in canonical order.
     """
-    if not 1 <= n <= 6:  # the messages of enumerate_multilinear and consequence_span
-        raise ValueError("enumerate_multilinear is limited to 1 <= n <= 6")
-    if n == 1:
-        raise ValueError("consequence_span is limited to 2 <= n <= 6")
-    labels = tuple(range(1, n + 1))
+    labels = _content_labels(_multilinear(n))
     lines = [
         "".join([f"{i} {c} {v}/1\n" for c, v in sorted(elem.items())])
         for i, elem in enumerate(_span(labels))

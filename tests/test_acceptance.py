@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion below prints its own PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The optional degree-6
-modular run is long; opt in with ``ASSOSYM_ACCEPT_N6=1``.
+Run with ``pytest tests/test_acceptance.py -v -s``.  The optional certified
+degree-6 run is long; opt in with ``ASSOSYM_ACCEPT_N6=1``.
 """
 
 import os
@@ -134,14 +134,16 @@ def test_criterion_05_oracle_dimensions():
 
 @pytest.mark.skipif(
     not os.environ.get("ASSOSYM_ACCEPT_N6"),
-    reason="optional degree-6 modular run (about half a minute); set ASSOSYM_ACCEPT_N6=1",
+    reason="optional certified degree-6 run (about half a minute); set ASSOSYM_ACCEPT_N6=1",
 )
 def test_criterion_05_optional_degree_6():
     start = time.monotonic()
     dim = quotient_dim(6)
-    elapsed = time.monotonic() - start
     assert dim == 762 == codimension(6)
-    _report("5 (optional)", f"quotient_dim(6) = 762, modular only ({elapsed:.0f}s)")
+    assert oracle_multiplicities(6).terms == sn_decomposition(6).terms
+    elapsed = time.monotonic() - start
+    _report("5 (optional)", f"quotient_dim(6) = 762 and the S_6 multiplicities, "
+                            f"certified over Q ({elapsed:.0f}s)")
 
 
 def test_criterion_06_oracle_multiplicities():

@@ -266,6 +266,22 @@ def test_verify_degree_6_needs_opt_in(capsys):
     assert "--allow-n6" in err
 
 
+def test_allow_n6_gates_components_past_1680_columns(capsys):
+    # 42 shapes * 30 arrangements = 1260 columns: a degree-6 run with no flag
+    code, out, _ = run_cli(capsys, "verify", "--multidegree", "4,1,1")
+    assert code == 0
+    assert out == "PASS: multigraded dimension, degree 4,1,1: 42 = 42\n"
+    # 42 * 60 = 2520 columns
+    code, out, err = run_cli(capsys, "verify", "--multidegree", "3,2,1")
+    assert (code, out) == (1, "")
+    assert "over 1680 columns" in err and "--allow-n6" in err
+    # 132 * 420 = 55440 columns: past the oracle's own limit, flag or not
+    for flag in ((), ("--allow-n6",)):
+        code, out, err = run_cli(capsys, "verify", "--multidegree", "3,2,1,1", *flag)
+        assert (code, out) == (1, "")
+        assert "more than 30240 columns" in err
+
+
 def test_verify_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli.algebra, "codimension", lambda n: 999)
     code, out, _ = run_cli(capsys, "verify", "--n", "3")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from assosym import oracle
@@ -32,7 +33,6 @@ from assosym.oracle import (
     _consequence_rows,
     _content_labels,
     _echelon,
-    _exact_system,
     _label_major,
     _lift,
     _span,
@@ -64,6 +64,28 @@ def index_rows(elements, columns):
     """Monomial-keyed consequences as rows over the given column list."""
     col = {m: i for i, m in enumerate(columns)}
     return [{col[m]: v for m, v in elem.items()} for elem in elements]
+
+
+def entries(rows: list[dict]) -> tuple:
+    """Rows {column: value} as the kernel's (row, column, value) entry triple."""
+    flat = [(i, c, v) for i, row in enumerate(rows) for c, v in sorted(row.items())]
+    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 3).T)
+
+
+def as_rows(triple) -> list[dict]:
+    """An entry triple grouped by row as rows {column: value}, empty rows left out."""
+    out: dict = {}
+    for i, c, v in zip(*(a.tolist() for a in triple)):
+        out.setdefault(i, {})[c] = v
+    return list(out.values())
+
+
+def form(pivot, reduced) -> dict[int, dict[int, int]]:
+    """A reduced form from the kernel's arrays: pivot -> {pivot: 1, column: value}."""
+    out = {c: {c: 1} for c in np.flatnonzero(pivot).tolist()}
+    for c, k, v in zip(*(a.tolist() for a in reduced)):
+        out[c][k] = v
+    return out
 
 
 def plug(context, x):
@@ -111,6 +133,11 @@ def test_enumerate_multilinear_counts():
         enumerate_multilinear(7)
 
 
+def test_arrangements_are_the_distinct_permutations():
+    for labels in [(1, 2, 3, 4, 5), (1, 1, 2, 2, 3), (0, 1, 1, 2), (3, 1, 2, 1), (1,) * 5, ()]:
+        assert oracle._arrangements(labels) == tuple(sorted(set(permutations(labels))))
+
+
 def test_enumerate_multilinear_canonical_order():
     for n in range(1, 5):
         mons = enumerate_multilinear(n)
@@ -143,17 +170,17 @@ def test_consequence_span_degree_3():
     span = consequence_span(3)
     assert len(span) == 12
     rows = _consequence_rows(index_rows(span, _label_major((1, 2, 3))))
-    assert _exact_system((1, 1, 1))[1] == rows
-    assert len(_exact_system((1, 1, 1))[2]) == 5  # 12 ambient - 7 quotient
+    assert as_rows(_system((1, 1, 1))[1]) == as_rows(rows)
+    assert _system((1, 1, 1))[2].sum() == 5  # 12 ambient - 7 quotient
 
 
 def test_consequence_span_degree_4_rank():
     span = consequence_span(4)
     columns = _label_major((1, 2, 3, 4))
     rows = _consequence_rows(index_rows(span, columns))
-    assert _exact_system((1,) * 4)[1] == rows
-    assert len(_exact_system((1,) * 4)[2]) == 91  # 120 - 29
-    assert len(_echelon(rows, len(columns), 2**31 - 1)) == 91
+    assert as_rows(_system((1,) * 4)[1]) == as_rows(rows)
+    assert _system((1,) * 4)[2].sum() == 91  # 120 - 29
+    assert _echelon(rows, len(columns), 2**31 - 1)[0].sum() == 91
 
 
 def test_multilinear_span_is_the_content_one_component():
@@ -175,7 +202,7 @@ def test_span_matches_the_nested_tuple_reference():
 
 
 def test_consequence_rows_are_deduplicated_in_canonical_order():
-    rows = _consequence_rows(_span((1, 2, 3, 4)))
+    rows = as_rows(_consequence_rows(_span((1, 2, 3, 4))))
     keys = [tuple(sorted(row.items())) for row in rows]
     assert len(set(keys)) == len(keys) == 120  # 240 span elements, pairs collapse
     assert keys == sorted(keys, key=lambda key: (-key[-1][0], key))
@@ -184,13 +211,15 @@ def test_consequence_rows_are_deduplicated_in_canonical_order():
 
 def test_reduced_pivots_do_not_depend_on_row_order():
     rows = _consequence_rows(_span((1, 2, 3, 4)))
-    shuffled = list(rows)
+    listed = as_rows(rows)
+    shuffled = list(listed)
     random.Random(0).shuffle(shuffled)
     reduced = []
-    for order in (rows, rows[::-1], shuffled):
-        pivots = _lift(_echelon(order, 120, DEFAULT_PRIME), DEFAULT_PRIME)
-        assert _spans(pivots, rows)
-        reduced.append(pivots)
+    for order in (listed, listed[::-1], shuffled):
+        pivot, (owner, col, val) = _echelon(entries(order), 120, DEFAULT_PRIME)
+        lifted = (owner, col, _lift(val, DEFAULT_PRIME))
+        assert _spans(rows, pivot, lifted)
+        reduced.append(form(pivot, lifted))
     assert reduced[0] == reduced[1] == reduced[2]
     assert len(reduced[0]) == 91
 
@@ -293,7 +322,8 @@ def test_kernel_matches_fraction_gauss_jordan_on_random_rows(monkeypatch, chunk,
         ncols, rows = 300, spanned_rows(seed, count, 2 * chunk)
     else:
         ncols, rows = 14, random_rows(seed, count, 14)
-    lifted = _lift(_echelon(rows, ncols, p), p)
+    pivot, (owner, col, val) = _echelon(entries(rows), ncols, p)
+    lifted = form(pivot, (owner, col, _lift(val, p)))
     got = {c: {k: v % p for k, v in row.items()} for c, row in lifted.items()}
     want = {
         c: {k: v.numerator * pow(v.denominator, -1, p) % p for k, v in row.items()}
@@ -316,26 +346,27 @@ def test_kernel_returns_the_reduced_form():
     assert len(contents) == 32
     p = DEFAULT_PRIME
     for content in contents:
-        columns, rows = _system(content)
-        echelon = _echelon(rows, len(columns), p)
+        ncols, rows = _system(content)[:2]
+        pivot, (owner, col, val) = _echelon(rows, ncols, p)
+        echelon = form(pivot, (owner, col, val))
         for c, row in echelon.items():  # tails only on free columns right of the pivot
-            assert all(k > c and k not in echelon and 0 < v < p for k, v in row.items())
-        lifted = _lift(echelon, p)  # the residue map alone
-        assert all(row[c] == 1 for c, row in lifted.items())
-        assert {c: {k: v % p for k, v in row.items() if k != c}
-                for c, row in lifted.items()} == echelon
+            assert all(k > c and not pivot[k] and 0 < v < p for k, v in row.items() if k != c)
+        assert [list(row) for row in echelon.values()] == [sorted(row) for row in echelon.values()]
+        lifted = _lift(val, p)  # the residue map alone
+        assert (np.abs(lifted) <= p // 2).all()
+        assert (lifted % p == val).all()
 
 
 @pytest.mark.parametrize("content", [(2, 2, 1), (1,) * 5, (3, 2, 1)])
 def test_kernel_result_does_not_depend_on_block_or_expansion_size(monkeypatch, content):
-    columns, rows = _system(content)
+    ncols, rows = _system(content)[:2]
     forms = []
     for name, value in [("_CHUNK_ROWS", 512), ("_CHUNK_ROWS", 1), ("_CHUNK_ROWS", 3),
                         ("_CHUNK_ROWS", 2048), ("_EXPANSION_ENTRIES", 1)]:
         with monkeypatch.context() as m:
             m.setattr(oracle, name, value)
-            form = _echelon(rows, len(columns), DEFAULT_PRIME)
-        forms.append([(c, list(row.items())) for c, row in form.items()])
+            pivot, reduced = _echelon(rows, ncols, DEFAULT_PRIME)
+        forms.append([a.tolist() for a in (pivot, *reduced)])
     assert all(form == forms[0] for form in forms)
 
 
@@ -343,35 +374,41 @@ def test_kernel_result_does_not_depend_on_block_or_expansion_size(monkeypatch, c
     "content", [(1, 1, 1), (1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2), (4, 1)]
 )
 def test_exact_system_matches_fraction_gauss_jordan(content):
-    _, rows, pivots = _exact_system(content)
-    assert pivots == fraction_rref(rows)
+    _, rows, pivot, lifted = _system(content)
+    assert form(pivot, lifted) == fraction_rref(as_rows(rows))
 
 
 @pytest.mark.parametrize("content, p", [((1,) * 4, 3), ((3, 1, 1), 5), ((2, 2, 1), 7)])
 def test_small_prime_gives_the_rank_but_fails_the_span_check(content, p):
-    columns, rows, pivots = _exact_system(content)
-    echelon = _echelon(rows, len(columns), p)
-    assert len(echelon) == len(pivots)
-    assert _spans(pivots, rows)
-    assert not _spans(_lift(echelon, p), rows)
+    ncols, rows, pivot, lifted = _system(content)
+    small, (owner, col, val) = _echelon(rows, ncols, p)
+    assert small.sum() == pivot.sum()
+    assert _spans(rows, pivot, lifted)
+    assert not _spans(rows, small, (owner, col, _lift(val, p)))
 
 
 def test_tampered_reduced_entry_fails_the_span_check():
-    _, rows, pivots = _exact_system((1,) * 4)
-    tampered = {c: dict(row) for c, row in pivots.items()}
-    row = next(row for row in tampered.values() if len(row) > 1)
-    row[max(row)] += 1  # a free column: the pivot is the minimal one
-    assert not _spans(tampered, rows)
+    _, rows, pivot, (owner, col, val) = _system((1,) * 4)
+    val = val.copy()
+    val[np.flatnonzero(owner == owner[0])[-1]] += 1  # a free column: tails lie right of the pivot
+    assert not _spans(rows, pivot, (owner, col, val))
+
+
+def test_certificate_holds_at_the_largest_prime():
+    ncols, rows = _system((3, 2, 1))[:2]
+    p = 3_037_000_493  # largest prime below 2^31.5: lifted entries up to p/2
+    pivot, (owner, col, val) = _echelon(rows, ncols, p)
+    assert _spans(rows, pivot, (owner, col, _lift(val, p)))
 
 
 def test_unliftable_default_prime_raises(monkeypatch):
-    _exact_system.cache_clear()
+    _system.cache_clear()
     monkeypatch.setattr(oracle, "DEFAULT_PRIME", 7)
     try:
         with pytest.raises(RankMismatchError, match="does not lift"):
             quotient_dim_multigraded((2, 2, 1))
     finally:
-        _exact_system.cache_clear()
+        _system.cache_clear()
 
 
 @pytest.mark.parametrize("call, arg, kwargs, echelons, lifts", [
@@ -379,7 +416,7 @@ def test_unliftable_default_prime_raises(monkeypatch):
     (quotient_dim, 5, {"prime": DEFAULT_PRIME}, 1, 1),
     (quotient_dim, 3, {"second_prime": 1_000_003}, 2, 1),
     (quotient_dim, 4, {"prime": 3}, 2, 1),
-    (quotient_dim_multigraded, (4, 1, 1), {}, 1, 0),  # degree 6: rank only
+    (quotient_dim_multigraded, (4, 1, 1), {}, 1, 1),  # degree 6: certified like the rest
     (quotient_dim_multigraded, (2, 1, 1), {"second_prime": 1_000_003}, 2, 1),
 ])
 def test_one_elimination_per_content_and_prime(monkeypatch, call, arg, kwargs, echelons, lifts):
@@ -395,11 +432,11 @@ def test_one_elimination_per_content_and_prime(monkeypatch, call, arg, kwargs, e
 
     for name in counts:
         monkeypatch.setattr(oracle, name, counted(name))
-    _exact_system.cache_clear()
+    _system.cache_clear()
     try:
         call(arg, **kwargs)
     finally:
-        _exact_system.cache_clear()
+        _system.cache_clear()
     assert counts == {"_echelon": echelons, "_lift": lifts}
 
 
@@ -448,18 +485,45 @@ def test_composite_and_oversized_moduli_are_rejected():
                 quotient_dim(3, **kwargs)
             with pytest.raises(ValueError, match="prime must exceed 2"):
                 quotient_dim_multigraded((2, 1), **kwargs)
-    assert len(_echelon(rows, 12, 3)) == 5
-    assert len(_echelon(rows, 12, 3_037_000_493)) == 5  # largest prime below 2^31.5
+    assert _echelon(rows, 12, 3)[0].sum() == 5
+    assert _echelon(rows, 12, 3_037_000_493)[0].sum() == 5  # largest prime below 2^31.5
 
 
 def test_quotient_dim_multigraded_examples():
     assert quotient_dim_multigraded((2, 1)) == 4
     assert quotient_dim_multigraded((3,)) == 2
     assert quotient_dim_multigraded((1, 1, 1)) == 7
+    assert quotient_dim_multigraded((4, 3)) == 49 == multigraded_dim((4, 3))  # degree 7
     with pytest.raises(ValueError):
         quotient_dim_multigraded((2, 0))
-    with pytest.raises(ValueError):
-        quotient_dim_multigraded((4, 3))
+    with pytest.raises(ValueError, match="30240 columns"):
+        quotient_dim_multigraded((3, 2, 1, 1))  # 132 shapes times 420 arrangements
+
+
+@pytest.mark.parametrize("content", [(2.7, 1), (2, 0, 1), (), (1, -1), (7, 2), ("2", 1)])
+def test_multigraded_entry_points_share_one_content_check(content):
+    for call in (quotient_dim_multigraded, consequence_span_multigraded):
+        with pytest.raises(ValueError):
+            call(content)
+
+
+def test_column_guard_counts_shapes_times_arrangements():
+    assert oracle._component((1,) * 6) == ((1,) * 6, 30240)  # 42 * 720: the limit itself
+    assert oracle._component((3, 2, 1)) == ((3, 2, 1), 2520)  # 42 * 60
+    assert oracle._component((4, 3)) == ((4, 3), 4620)  # 132 * 35
+    assert oracle._component((11,)) == ((11,), 16796)  # Catalan(10) * 1
+    assert oracle._component((2.0, 1)) == ((2, 1), 6)  # 2 * 3
+    for content in [(1,) * 7, (12,), (7, 2), (3, 2, 1, 1)]:
+        with pytest.raises(ValueError, match="more than 30240 columns"):
+            oracle._component(content)
+    for call in (enumerate_multilinear, consequence_span, quotient_dim, quotient_basis,
+                 quotient_character, oracle_multiplicities):
+        with pytest.raises(ValueError, match="columns"):
+            call(10**9)  # counted one leaf at a time: refused at once
+    with pytest.raises(ValueError, match="columns"):
+        quotient_dim_multigraded((10**9,))
+    with pytest.raises(ValueError, match="columns"):
+        write_consequence_matrix(7, io.StringIO())
 
 
 def positive_contents(total):
@@ -497,24 +561,26 @@ def test_label_major_rank_equals_the_exact_rank():
     contents = [c for total in range(1, 6) for c in positive_contents(total)]
     assert len(contents) == 31
     for content in contents:
-        columns, rows = _system(content)
-        assert len(_echelon(rows, len(columns), 1_000_003)) == len(_exact_system(content)[2])
+        ncols, rows, pivot, _ = _system(content)
+        assert _echelon(rows, ncols, 1_000_003)[0].sum() == pivot.sum()
 
 
 def test_exact_system_is_built_on_the_one_system():
     for total in range(1, 6):
         for content in positive_contents(total):
-            assert _exact_system(content)[:2] == _system(content)
+            labels = _content_labels(content)
+            ncols, rows = _system(content)[:2]
+            assert ncols == len(_label_major(labels))
+            want = _consequence_rows(_span(labels, label_major=True))
+            assert all((a == b).all() for a, b in zip(rows, want))
 
 
-def test_kernel_and_lift_return_python_ints():
-    columns, rows = _system((2, 2, 1))
-    echelon = _echelon(rows, len(columns), DEFAULT_PRIME)
-    for form in (echelon, _lift(echelon, DEFAULT_PRIME)):
-        assert form
-        for c, row in form.items():
-            assert type(c) is int
-            assert all(type(k) is int and type(v) is int for k, v in row.items())
+def test_quotient_basis_holds_python_ints():
+    for n in (3, 4):
+        rewrite_map = quotient_basis(n).rewrite_map
+        assert rewrite_map
+        for row in rewrite_map.values():
+            assert all(type(v) is int for v in row.values())
 
 
 def test_quotient_basis_is_the_label_major_free_columns():
@@ -531,10 +597,10 @@ def test_quotient_basis_is_the_label_major_free_columns():
 def test_label_major_rank_equals_the_canonical_rank_at_degree_6():
     content = (3, 2, 1)
     canonical = monomials_with_labels(_content_labels(content))
-    columns, rows = _system(content)
+    ncols, rows = _system(content)[:2]
     canonical_rows = _consequence_rows(_span(_content_labels(content)))
-    rank = len(_echelon(rows, len(columns), DEFAULT_PRIME))
-    assert rank == len(_echelon(canonical_rows, len(canonical), DEFAULT_PRIME))
+    rank = _echelon(rows, ncols, DEFAULT_PRIME)[0].sum()
+    assert rank == _echelon(canonical_rows, len(canonical), DEFAULT_PRIME)[0].sum()
     assert rank == len(canonical) - multigraded_dim(content)
 
 
@@ -605,7 +671,7 @@ def test_oracle_multiplicities_match_closed_form():
 
 def test_oracle_guards():
     with pytest.raises(ValueError):
-        quotient_character(6)
+        quotient_character(7)
     with pytest.raises(ValueError):
         oracle_multiplicities(1)
 
@@ -644,7 +710,7 @@ def test_consequence_matrix_dump_is_pinned_at_degree_6():
 def test_deterministic_rebuild():
     qb1 = quotient_basis(3)
     quotient_basis.cache_clear()
-    _exact_system.cache_clear()
+    _system.cache_clear()
     qb2 = quotient_basis(3)
     assert qb1.monomials == qb2.monomials
     assert qb1.rewrite_map == qb2.rewrite_map
