@@ -10,19 +10,19 @@ trivial modules producing two-row Specht corrections.  This module turns
 all of that into executable, exact arithmetic.
 """
 
-from itertools import combinations_with_replacement, islice, product
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 from .characters import (
     CharacterVector,
-    _involution_counts,
     _merge_conjugate_pairs,
     involution_count,
     irreducible_character,
     restrict_to_alternating,
 )
 from .decomposition import GROUP_GENERAL_LINEAR, GROUP_SYMMETRIC, Decomposition, Label
-from .partitions import _specht_dim, binomial, generate_partitions, multinomial
+from .partitions import _integers, _specht_dim, binomial, generate_partitions, multinomial
 
 
 def two_row_multiplicity(n: int, lam2: int) -> int:
@@ -126,7 +126,7 @@ def multigraded_dim(l) -> int:
     of 1's among the l_i.  Zero parts are rejected: the formula is only valid
     for generators that actually occur, so drop absent ones before calling.
     """
-    l = tuple(int(x) for x in l)
+    l = _integers(l, "multidegree parts")
     if not l:
         raise ValueError("multidegree must be non-empty")
     if any(x < 1 for x in l):
@@ -160,28 +160,40 @@ def colength(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _colength(n, involution_count(n))
+    return _two_row_colength(n) + involution_count(n)
 
 
-def _colength(n: int, inv: int) -> int:
-    """colength(n) given inv = inv(S_n)."""
+def _two_row_colength(n: int) -> int:
+    """colength(n) - inv(S_n): the constituents beyond the regular module."""
     if n <= 3:
-        return (1 if n == 3 else 0) + inv
+        return 1 if n == 3 else 0
     k = n // 2
     if n % 2 == 0:
-        return k * k + 2 * k - 5 + inv
-    return k * k + 3 * k - 4 + inv
+        return k * k + 2 * k - 5
+    return k * k + 3 * k - 4
+
+
+# Exact integer arithmetic on Decimals: no result is ever rounded, and one
+# that would be raises Inexact instead.  Calling this context's methods,
+# rather than entering it, leaves the caller's decimal context alone.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 def _sequences(max_n: int):
-    """Yield (n, codimension, colength, involutions) for n = 1..max_n.
+    """Yield (n, codimension, colength, involutions) for n = 1..max_n as Decimals.
 
-    inv(S_n) is read off one running recurrence, so the whole table costs
-    linear time, not one O(n) count per row.
+    n!, 2^n and inv(S_n) follow running recurrences, one short product each
+    per row, on exact integer Decimals: the whole table costs linear time,
+    and ``str`` prints each value in linear time too, with no int->str limit.
     """
-    invs = islice(_involution_counts(), 1, max_n + 1)
-    for n, inv in enumerate(invs, start=1):
-        yield n, codimension(n), _colength(n, inv), inv
+    fact = pow2 = inv = Decimal(1)  # 0!, 2^0, I(0)
+    prev = Decimal(0)  # I(-1)
+    for n in range(1, max_n + 1):
+        fact = _EXACT.multiply(fact, n)
+        pow2 = _EXACT.add(pow2, pow2)
+        prev, inv = inv, _EXACT.fma(n - 1, prev, inv)  # I(n) = I(n-1) + (n-1) I(n-2)
+        codim = _EXACT.subtract(_EXACT.add(fact, pow2), binomial(n + 1, 2) + 1)
+        yield n, codim, _EXACT.add(inv, _two_row_colength(n)), inv
 
 
 def basis_count_direct(n: int, r: int) -> int:

@@ -175,12 +175,10 @@ def _merge_conjugate_pairs(dec: Decomposition, halve: bool) -> Decomposition:
     multiplicity then raises ValueError).
     """
     terms: dict[Label, int] = {}
-    for lam in generate_partitions(dec.n):
-        mult = dec.terms.get(Label(lam), 0)
+    for label, mult in dec.terms.items():
+        lam = label.partition
         partner = _conjugate(lam)
         if partner == lam:
-            if mult == 0:
-                continue
             if halve:
                 half, odd = divmod(mult, 2)
                 if odd:
@@ -190,10 +188,9 @@ def _merge_conjugate_pairs(dec: Decomposition, halve: bool) -> Decomposition:
                 mult = half
             terms[Label(lam, "+")] = mult
             terms[Label(lam, "-")] = mult
-        elif lam > partner:  # a pair is handled at its lexicographically larger member
-            merged = mult + dec.terms.get(Label(partner), 0)
-            if merged:
-                terms[Label(lam)] = merged
+        else:  # a pair is booked at its lexicographically larger member
+            merged = Label(max(lam, partner))
+            terms[merged] = terms.get(merged, 0) + mult
     return Decomposition(dec.n, GROUP_ALTERNATING, terms)
 
 

@@ -141,12 +141,12 @@ def cmd_sequences(args) -> tuple[str, int]:
     for n, codim, colength, involutions in algebra._sequences(args.max_n):
         row = {
             "n": n,
-            "codimension": _decimal(codim),
-            "colength": _decimal(colength),
-            "involutions": _decimal(involutions),
+            "codimension": str(codim),
+            "colength": str(colength),
+            "involutions": str(involutions),
         }
         if args.cocharacters and n <= 10:
-            row["cocharacter"] = [_decimal(v) for v in algebra.cocharacter(n).values]
+            row["cocharacter"] = [str(v) for v in algebra.cocharacter(n).values]
         rows.append(row)
     if args.format == "json":
         return _json_text({"rows": rows}), EXIT_OK

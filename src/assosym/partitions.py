@@ -8,20 +8,30 @@ function is pure.  Public functions validate their partition argument once;
 the underscored helpers they call take it as already validated.
 """
 
-from functools import cache
+from functools import cache, lru_cache
+from itertools import accumulate
 from math import comb, factorial, prod
+from operator import ge
 
 Partition = tuple[int, ...]
 
 
+def _integers(parts, what: str) -> tuple[int, ...]:
+    """The parts as Python ints; ValueError for a part p with int(p) != p."""
+    parts = tuple(parts)
+    ints = tuple(map(int, parts))
+    if ints != parts:
+        raise ValueError(f"{what} must be integers, got {parts}")
+    return ints
+
+
 def check_partition(lam) -> Partition:
-    """Validate and normalize a partition given as any iterable of parts."""
-    lam = tuple(int(p) for p in lam)
-    for i, p in enumerate(lam):
-        if p < 1:
-            raise ValueError(f"partition parts must be positive, got {lam}")
-        if i and lam[i - 1] < p:
-            raise ValueError(f"partition parts must be weakly decreasing, got {lam}")
+    """Validate and normalize a partition given as any iterable of integral parts."""
+    lam = _integers(lam, "partition parts")
+    if lam and min(lam) < 1:
+        raise ValueError(f"partition parts must be positive, got {lam}")
+    if not all(map(ge, lam, lam[1:])):
+        raise ValueError(f"partition parts must be weakly decreasing, got {lam}")
     return lam
 
 
@@ -54,7 +64,11 @@ def conjugate(lam: Partition) -> Partition:
 def _conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()
-    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+    counts = [0] * lam[0]  # counts[j]: the number of parts equal to j + 1
+    for p in lam:
+        counts[p - 1] += 1
+    # part i of the conjugate counts the parts > i, a suffix sum of counts
+    return tuple(accumulate(reversed(counts)))[::-1]
 
 
 def is_self_conjugate(lam: Partition) -> bool:
@@ -96,6 +110,7 @@ def specht_dim(lam: Partition) -> int:
     return _specht_dim(check_partition(lam))
 
 
+@lru_cache(maxsize=1 << 17)  # more than p(47) shapes: every table to n = 47 fits
 def _specht_dim(lam: Partition) -> int:
     return _over_hooks(lam, factorial(sum(lam)))
 
@@ -159,7 +174,7 @@ def two_row_partitions(n: int) -> list[Partition]:
 
 def multinomial(ls) -> int:
     """(sum ls)! / prod(l_i!) for non-negative integers ls."""
-    ls = tuple(int(l) for l in ls)
+    ls = _integers(ls, "multinomial arguments")
     if any(l < 0 for l in ls):
         raise ValueError("multinomial arguments must be non-negative")
     result = factorial(sum(ls))

@@ -1,9 +1,11 @@
+import decimal
 from functools import cache
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from assosym.algebra import (
+    _sequences,
     an_decomposition,
     an_gl_decomposition,
     basis_count_direct,
@@ -16,7 +18,7 @@ from assosym.algebra import (
     sn_decomposition,
     two_row_multiplicity,
 )
-from assosym.characters import restrict_to_alternating
+from assosym.characters import involution_count, restrict_to_alternating
 from assosym.decomposition import Decomposition, Label
 from assosym.partitions import generate_partitions, specht_dim, weyl_dim
 
@@ -167,6 +169,31 @@ def test_multigraded_dim_rejects_zero_parts():
         multigraded_dim((2, 0))
     with pytest.raises(ValueError):
         multigraded_dim(())
+
+
+def test_multigraded_dim_rejects_non_integral_parts():
+    # int() would truncate (2.7, 1) to (2, 1), whose dimension is 4
+    with pytest.raises(ValueError, match="must be integers"):
+        multigraded_dim((2.7, 1))
+    assert multigraded_dim((2.0, 1)) == 4
+
+
+def test_sequences_match_the_closed_forms():
+    rows = list(_sequences(300))
+    assert [row[0] for row in rows] == list(range(1, 301))
+    for n, codim, colen, inv in rows:
+        assert (codim, colen, inv) == (codimension(n), colength(n), involution_count(n))
+
+
+def test_sequences_leave_the_decimal_context_alone():
+    before = decimal.getcontext()
+    state = repr(before)
+    list(islice(_sequences(50), 3))
+    for row in _sequences(50):
+        if row[0] == 10:
+            break
+    assert decimal.getcontext() is before
+    assert repr(decimal.getcontext()) == state
 
 
 def test_multigraded_components_sum_to_graded():

@@ -96,6 +96,12 @@ def test_mn_degree_mismatch():
         mn_character((2, 1), (2, 2))
 
 
+def test_mn_rejects_non_integral_parts():
+    # int() would truncate (2.5, 1) to (2, 1), whose value at (2, 1) is 0
+    with pytest.raises(ValueError, match="must be integers"):
+        mn_character((2.5, 1), (2, 1))
+
+
 def test_character_table_small():
     assert character_table(1) == [[1]]
     # canonical class order is (2,) then (1,1), so the sign row is [-1, 1]

@@ -4,7 +4,9 @@ from math import comb, factorial
 import pytest
 
 from assosym.partitions import (
+    _conjugate,
     binomial,
+    check_partition,
     conjugate,
     generate_partitions,
     hook_lengths,
@@ -203,3 +205,30 @@ def test_invalid_partitions_rejected():
         specht_dim((1, 2))
     with pytest.raises(ValueError):
         conjugate((2, 0))
+
+
+def test_check_partition_messages():
+    with pytest.raises(ValueError, match="must be positive, got \\(2, 0, 1\\)"):
+        check_partition((2, 0, 1))
+    with pytest.raises(ValueError, match="must be weakly decreasing, got \\(1, 2\\)"):
+        check_partition((1, 2))
+    assert check_partition(()) == ()
+    assert check_partition([3, 3.0, 1]) == (3, 3, 1)
+
+
+def test_conjugate_equals_the_counting_definition():
+    for n in range(17):
+        for lam in generate_partitions(n):
+            old = tuple(sum(1 for p in lam if p > i) for i in range(lam[0])) if lam else ()
+            assert _conjugate(lam) == old
+
+
+def test_check_partition_rejects_non_integral_parts():
+    # int() would truncate (2.5, 1) to (2, 1), whose d_lambda is 2
+    with pytest.raises(ValueError, match="must be integers"):
+        specht_dim((2.5, 1))
+
+
+def test_multinomial_rejects_non_integral_parts():
+    with pytest.raises(ValueError, match="must be integers"):
+        multinomial((2.5, 1))
