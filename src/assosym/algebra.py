@@ -32,6 +32,7 @@ def two_row_multiplicity(n: int, lam2: int) -> int:
     two-row shape, i.e. those with lam2 <= min(k, n-k).  Closed form:
     max(0, n-2-lam2) for lam2 <= 3 and max(0, n+1-2*lam2) for lam2 >= 4.
     """
+    n, lam2 = _integers((n, lam2), "n and lam2")
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= 2 * lam2 <= n:
@@ -72,6 +73,7 @@ def gl_decomposition(n: int, m: int) -> Decomposition:
     Same multiplicities as the S_n case; labels with more than m rows index
     zero-dimensional Weyl modules and are dropped.
     """
+    (m,) = _integers((m,), "m")
     if m < 1:
         raise ValueError("m must be positive")
     sn = sn_decomposition(n)

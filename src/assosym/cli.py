@@ -92,6 +92,8 @@ def _csv_text(header, rows) -> str:
 def _decompose_result(n: int, group: str, dim_v: int | None):
     """(symbol, decomposition, dimension of a term's label) for one group."""
     if group == GROUP_SYMMETRIC:
+        if dim_v is not None:
+            raise UsageError("--dim only combines with --group A or GL")
         return "S", algebra.sn_decomposition(n), lambda label: _specht_dim(label.partition)
     if group == GROUP_GENERAL_LINEAR:
         if dim_v is None:

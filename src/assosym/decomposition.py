@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .partitions import Partition, _conjugate, _specht_dim, check_partition
+from .partitions import Partition, _conjugate, _integers, _specht_dim, check_partition
 
 GROUP_SYMMETRIC = "S"
 GROUP_ALTERNATING = "A"
@@ -55,8 +55,9 @@ class Decomposition:
     def __post_init__(self):
         if self.group not in _GROUPS:
             raise ValueError(f"unknown group {self.group!r}")
+        object.__setattr__(self, "n", _integers((self.n,), "n")[0])
         terms = {}
-        for label, mult in self.terms.items():
+        for label, mult in zip(self.terms, _integers(self.terms.values(), "multiplicities")):
             lam = check_partition(label.partition)
             if sum(lam) != self.n:
                 raise ValueError(f"label {label} is not a partition of {self.n}")

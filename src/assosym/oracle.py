@@ -8,6 +8,18 @@ with leaves labelled bijectively by 1..n.  The defining relations
 component is spanned by every substitution instance g(u1, u2, u3) of a
 generator, embedded in a one-hole monomial context over the remaining labels.
 
+Every such consequence is four distinct monomials with the coefficients SIGNS
+= (+1, -1, -1, +1), or zero.  Generator g1's terms are (u1u2)u3, u1(u2u3),
+(u1u3)u2 and u1(u3u2); g2's swap u1 and u2 in the last two.
+1. The left factor of terms 1 and 3 is a product of two blocks, that of terms
+   2 and 4 one block, with fewer leaves: no term of the one pair equals one
+   of the other.
+2. Term 1 equals term 3 exactly when the two swapped blocks are equal, and
+   then term 2 equals term 4: the consequence is zero.
+3. Otherwise all four differ.
+So the span yields each consequence as its four columns, or () when it
+vanishes, and ``_instances`` asserts that nothing else happens.
+
 One pipeline serves every content: one span enumerator, one system builder
 (deduplicated rows in one canonical row order over label-major columns), one
 elimination kernel and one certificate, all on numpy entry arrays.  The
@@ -48,7 +60,7 @@ monomials.
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, product, repeat
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 from operator import add
 
 import numpy as np
@@ -61,6 +73,7 @@ DEFAULT_PRIME = 2**31 - 1  # Mersenne; any prime below 2^31.5 keeps int64 exact
 MAX_COLUMNS = 30240  # the 1^6 component: 42 tree shapes times 720 arrangements
 
 HOLE = 0  # reserved leaf label marking the slot of a one-hole context
+SIGNS = (1, -1, -1, 1)  # the coefficients of every consequence's four terms, in order
 
 
 class RankMismatchError(RuntimeError):
@@ -230,7 +243,8 @@ def _difference(a: dict, b: dict) -> dict:
 def identity_generators() -> tuple[dict, dict]:
     """The two defining relations in variables 1, 2, 3, expanded into monomials.
 
-    g1 = (x,y,z) - (x,z,y) and g2 = (x,y,z) - (y,x,z), four +-1 terms each.
+    g1 = (x,y,z) - (x,z,y) and g2 = (x,y,z) - (y,x,z), four terms each with
+    the coefficients SIGNS.
     """
     base = _associator(1, 2, 3)
     return (
@@ -241,17 +255,19 @@ def identity_generators() -> tuple[dict, dict]:
 
 @cache
 def _generator_terms() -> tuple:
-    """``identity_generators()`` as lists of (shape, leaf sequence, coefficient).
+    """``identity_generators()`` as lists of (shape, leaf sequence), coefficients SIGNS.
 
     The leaf sequence lists, for each leaf, the 0-based number of its variable.
     """
     out = []
     for g in identity_generators():
+        if tuple(g.values()) != SIGNS:
+            raise AssertionError("a generator's coefficients are not SIGNS")
         terms = []
-        for term, coeff in g.items():
+        for term in g:
             seq = leaf_labels(term)
             template = relabel(term, [seq.index(i) + 1 for i in (1, 2, 3)])
-            terms.append((_templates(3).index(template), tuple(i - 1 for i in seq), coeff))
+            terms.append((_templates(3).index(template), tuple(i - 1 for i in seq)))
         out.append(terms)
     return tuple(out)
 
@@ -263,7 +279,7 @@ def _substituted_shapes(g: int, *inner) -> tuple:
     ``inner[i]`` is (shape, size) of the monomial substituted for variable i.
     """
     out = []
-    for shape, seq, _ in _generator_terms()[g]:
+    for shape, seq in _generator_terms()[g]:
         size = 3
         for leaf in (2, 1, 0):  # right to left, so the leaves still to fill stay put
             s, s_size = inner[seq[leaf]]
@@ -291,15 +307,18 @@ def _without(labels: tuple, sub: tuple) -> tuple:
 
 
 def _instances(blocks, context_labels, index, weights):
-    """The consequences of one label split as {column: coefficient}, in generation order.
+    """The consequences of one label split as four columns or (), in generation order.
 
     For each generator and substitution of block monomials, every one-hole
     context monomial over the hole and ``context_labels`` takes each
-    substituted term at its hole; equal terms cancel.  No monomial is built:
-    a block monomial is ((shape, size), leaf sequence), and the column of a
-    plugged term is ``shape * weights[0] + arrangement * weights[1]``.  Per
-    substitution, the shape part is computed once per context shape and hole
-    position, the arrangement part once per context arrangement.
+    substituted term at its hole.  The terms are four distinct columns, with
+    coefficients SIGNS, or cancel in pairs, 1 with 3 and 2 with 4, to ();
+    any other coincidence breaks the invariant and raises AssertionError.
+    No monomial is built: a block monomial is ((shape, size), leaf
+    sequence), and the column of a plugged term is ``shape * weights[0] +
+    arrangement * weights[1]``.  Per substitution, the shape part is
+    computed once per context shape and hole position, the arrangement part
+    once per context arrangement.
     """
     ws, wa = weights
     size = len(context_labels) + 1
@@ -310,8 +329,7 @@ def _instances(blocks, context_labels, index, weights):
         for b in blocks
     ]
     for g, terms in enumerate(_generator_terms()):
-        seqs = [seq for _, seq, _ in terms]
-        coeffs = [coeff for *_, coeff in terms]
+        seqs = [seq for _, seq in terms]
         for (s1, l1), (s2, l2), (s3, l3) in product(*mons):
             shapes = _substituted_shapes(g, s1, s2, s3)
             arrs = (l1, l2, l3)
@@ -322,14 +340,13 @@ def _instances(blocks, context_labels, index, weights):
                 shape_cols = [[_graft(c, size, h, s, inner_size) * ws for s in shapes]
                               for h in range(size)]
                 for (h, _), acols in zip(holes, arr_cols):
-                    elem: dict = {}
-                    for col, coeff in zip(map(add, shape_cols[h], acols), coeffs):
-                        nv = elem.get(col, 0) + coeff
-                        if nv:
-                            elem[col] = nv
-                        else:
-                            del elem[col]
-                    yield elem
+                    elem = tuple(map(add, shape_cols[h], acols))
+                    if len(set(elem)) == 4:
+                        yield elem
+                    elif elem[0] == elem[2] and elem[1] == elem[3]:
+                        yield ()
+                    else:
+                        raise AssertionError(f"columns {elem} neither differ nor cancel")
 
 
 def _span(labels: tuple, label_major: bool = False):
@@ -338,9 +355,10 @@ def _span(labels: tuple, label_major: bool = False):
     Each split into three nonempty blocks and a (possibly empty) context, with
     monomials on the blocks and a one-hole context monomial, contributes one
     element per generator.  Redundant (even duplicate) elements are fine;
-    the row builder absorbs them.  Elements are {column: coefficient} over
-    the canonical columns of ``monomials_with_labels(labels)``, or over the
-    label-major columns of ``_label_major(labels)``.
+    the row builder absorbs them.  Elements are four columns, coefficients
+    SIGNS, or () for zero, over the canonical columns of
+    ``monomials_with_labels(labels)``, or over the label-major columns of
+    ``_label_major(labels)``.
     """
     shapes, arrs = len(_templates(len(labels))), len(_arrangements(labels))
     weights = (1, shapes) if label_major else (arrs, 1)
@@ -359,7 +377,7 @@ def _content_labels(content) -> tuple[int, ...]:
 
 def _monomial_span(labels: tuple) -> list[dict]:
     ambient = monomials_with_labels(labels)
-    return [{ambient[c]: v for c, v in elem.items()} for elem in _span(labels)]
+    return [dict(zip([ambient[c] for c in elem], SIGNS)) for elem in _span(labels)]
 
 
 def consequence_span(n: int) -> list[dict]:
@@ -379,25 +397,24 @@ def consequence_span_multigraded(content) -> list[dict]:
 # linear algebra
 
 def _consequence_rows(elements) -> tuple:
-    """Consequences {column: coefficient} as integer rows, deduplicated.
+    """Consequences (four columns, coefficients SIGNS, or ()) as rows, deduplicated.
 
-    Rows equal up to sign and content collapse to one normalized key: no
-    content, positive at the minimal column.  Keys come out in one canonical
+    Each row is sorted by column, its signs carried along and flipped to +1
+    at the minimal column: rows equal up to sign collapse to one key, the
+    interleaved (column, value) pairs.  Keys come out in one canonical
     order, by descending last column and then by key: neither the rank nor
     the reduced echelon form depends on row order, but this one keeps the
     elimination sweeps small.  The result is one (row, column, value) triple
     of int64 entry arrays, row i the i-th key, its entries by column.
     """
-    keys = set()
-    for row in elements:
-        if row:
-            content = gcd(*row.values())
-            if row[min(row)] < 0:
-                content = -content
-            keys.add(tuple(sorted((k, v // content) for k, v in row.items())))
-    ordered = sorted(keys, key=lambda key: (-key[-1][0], key))
-    entries = [(i, c, v) for i, key in enumerate(ordered) for c, v in key]
-    return tuple(np.array(entries, dtype=np.int64).reshape(-1, 3).T)
+    cols = np.fromiter(filter(None, elements), dtype=np.dtype((np.int64, 4)))
+    order = np.argsort(cols, axis=1)
+    signs = np.array(SIGNS)[order]
+    signs *= signs[:, :1]
+    keys = np.stack([np.take_along_axis(cols, order, axis=1), signs], axis=2).reshape(-1, 8)
+    keys = np.unique(keys, axis=0)
+    keys = keys[np.argsort(-keys[:, -2], kind="stable")]
+    return np.arange(len(keys)).repeat(4), keys[:, 0::2].ravel(), keys[:, 1::2].ravel()
 
 
 @cache
@@ -563,11 +580,12 @@ def _spans(rows: tuple, pivot: np.ndarray, lifted: tuple) -> bool:
     ``lifted`` holds the reduced rows on symmetric residues, pivot entries
     left out, over ``len(pivot)`` columns.  A row is spanned iff its residual,
     its entries at free columns minus that sum, is zero: one ``_substitute``
-    mod 2^40.  Nothing wraps: a row's entries (four +-1 terms) sum to at most
-    4 in absolute value and a lifted entry is at most p/2 < 2^30.8, so every
-    product stays below 2^33 and every residual below 4 + 4 * p/2 < 2^34 <
-    2^40; it is zero over Z iff it is zero mod 2^40.  The values go in
-    signed: reduced into [0, 2^40), a product of two would overflow int64.
+    mod 2^40.  Nothing wraps: a row's entries, four +-1 terms as ``_instances``
+    asserts, sum to at most 4 in absolute value and a lifted entry is at
+    most p/2 < 2^30.8, so every product stays below 2^33 and every residual
+    below 4 + 4 * p/2 < 2^34 < 2^40; it is zero over Z iff it is zero mod
+    2^40.  The values go in signed: reduced into [0, 2^40), a product of two
+    would overflow int64.
     """
     return not len(_substitute(rows, pivot, lifted, len(pivot), 1 << 40)[0])
 
@@ -727,7 +745,7 @@ def write_consequence_matrix(n: int, stream) -> None:
     """
     labels = _content_labels(_multilinear(n))
     lines = [
-        "".join([f"{i} {c} {v}/1\n" for c, v in sorted(elem.items())])
+        "".join([f"{i} {c} {v}/1\n" for c, v in sorted(zip(elem, SIGNS))])
         for i, elem in enumerate(_span(labels))
     ]
     stream.write(f"{len(lines)} {len(_templates(n)) * len(_arrangements(labels))}\n")

@@ -151,6 +151,7 @@ def weyl_dim(lam: Partition, m: int) -> int:
     does not grow with m.  Returns 0 when the diagram has more than m rows.
     """
     lam = check_partition(lam)
+    (m,) = _integers((m,), "m")
     if m < 1:
         raise ValueError("m must be positive")
     if len(lam) > m:

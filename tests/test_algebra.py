@@ -85,6 +85,32 @@ def test_two_row_multiplicity_range_error():
         two_row_multiplicity(4, 3)
 
 
+def test_two_row_multiplicity_rejects_non_integral_arguments():
+    # 1.5 once came back as the multiplicity 1.5
+    for n, lam2 in ((5, 1.5), (5.5, 1)):
+        with pytest.raises(ValueError, match="must be integers"):
+            two_row_multiplicity(n, lam2)
+    assert two_row_multiplicity(5.0, 1.0) == two_row_multiplicity(5, 1)
+
+
+def test_gl_decompositions_reject_a_non_integral_dimension():
+    # m = 2.5 once gave the m = 2 table
+    for table in (gl_decomposition, an_gl_decomposition):
+        with pytest.raises(ValueError, match="must be integers"):
+            table(4, 2.5)
+        assert table(4, 2.0) == table(4, 2)
+
+
+def test_decomposition_rejects_a_non_integral_multiplicity():
+    # 2.5 was once accepted and serialised as "2.5", which from_json cannot read
+    with pytest.raises(ValueError, match="must be integers"):
+        Decomposition(4, "S", {Label((4,)): 2.5})
+    with pytest.raises(ValueError, match="must be integers"):
+        Decomposition(4.5, "S", {})
+    dec = Decomposition(4.0, "S", {Label((4,)): 2.0})
+    assert dec.to_json() == Decomposition(4, "S", {Label((4,)): 2}).to_json()
+
+
 def test_sn_decomposition_golden_tables():
     for n, table in SN_TABLES.items():
         assert sn_decomposition(n).terms == table

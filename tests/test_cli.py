@@ -70,6 +70,12 @@ def test_decompose_gl_requires_dim(capsys):
     assert "--dim" in err
 
 
+def test_decompose_symmetric_rejects_dim(capsys):
+    code, out, err = run_cli(capsys, "decompose", "4", "--group", "S", "--dim", "3")
+    assert code == 1 and not out
+    assert "--dim" in err and "--group A" in err and "GL" in err
+
+
 def test_decompose_alternating_schur_table(capsys):
     code, out, _ = run_cli(capsys, "decompose", "3", "--group", "A", "--dim", "3")
     assert code == 0

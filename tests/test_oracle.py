@@ -3,6 +3,7 @@ import io
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from assosym.algebra import codimension, multigraded_dim, sn_decomposition
 from assosym.decomposition import Label
 from assosym.oracle import (
     DEFAULT_PRIME,
+    SIGNS,
     RankMismatchError,
     class_representative,
     consequence_span,
@@ -61,9 +63,14 @@ def cycle_type_of(images):
 
 
 def index_rows(elements, columns):
-    """Monomial-keyed consequences as rows over the given column list."""
+    """Monomial-keyed consequences as span elements over the given column list.
+
+    Each consequence must carry the coefficients SIGNS or be empty; it becomes
+    its columns in term order, four or none.
+    """
     col = {m: i for i, m in enumerate(columns)}
-    return [{col[m]: v for m, v in elem.items()} for elem in elements]
+    assert all(tuple(elem.values()) in (SIGNS, ()) for elem in elements)
+    return [tuple(col[m] for m in elem) for elem in elements]
 
 
 def entries(rows: list[dict]) -> tuple:
@@ -198,7 +205,73 @@ def test_span_matches_the_nested_tuple_reference():
         assert [list(elem.items()) for elem in got] == [list(elem.items()) for elem in want]
         label_major = index_rows(want, _label_major(labels))
         got = _span(labels, label_major=True)
-        assert [list(row.items()) for row in got] == [list(row.items()) for row in label_major]
+        assert list(got) == label_major
+
+
+def invariant_contents():
+    """The 31 contents of total degree <= 5 plus three past it, one with 4620 columns."""
+    return [c for total in range(1, 6) for c in positive_contents(total)] + [
+        (3, 2, 1), (2, 2, 2), (4, 3)]
+
+
+def test_every_consequence_is_four_distinct_columns_or_empty():
+    contents = invariant_contents()
+    assert len(contents) == 34
+    for content in contents:
+        labels = _content_labels(content)
+        for label_major in (False, True):
+            for elem in _span(labels, label_major):
+                assert elem == () or (len(elem) == 4 and len(set(elem)) == 4)
+
+
+def test_generator_coefficients_are_the_one_sign_pattern(monkeypatch):
+    g1, g2 = identity_generators()
+    assert tuple(g1.values()) == tuple(g2.values()) == SIGNS
+    doubled = {m: 2 * v for m, v in g1.items()}
+    monkeypatch.setattr(oracle, "identity_generators", lambda: (doubled, g2))
+    with pytest.raises(AssertionError, match="not SIGNS"):
+        oracle._generator_terms.__wrapped__()
+
+
+def test_a_consequence_that_neither_differs_nor_cancels_raises(monkeypatch):
+    g1, g2 = oracle._generator_terms()
+    broken = ([g1[0], g1[0], *g1[2:]], g2)  # term 2 a copy of term 1
+    monkeypatch.setattr(oracle, "_generator_terms", lambda: broken)
+    oracle._substituted_shapes.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="neither differ nor cancel"):
+            list(_span((1, 2, 3)))
+    finally:
+        oracle._substituted_shapes.cache_clear()
+
+
+def reference_rows(elements) -> tuple:
+    """Generic sparse rows {column: coefficient} deduplicated in the canonical row order.
+
+    Rows equal up to sign and content collapse to one key, no content and
+    positive at the minimal column; keys are sorted by descending last
+    column, then by key.
+    """
+    keys = set()
+    for row in elements:
+        if row:
+            content = gcd(*row.values())
+            if row[min(row)] < 0:
+                content = -content
+            keys.add(tuple(sorted((k, v // content) for k, v in row.items())))
+    ordered = sorted(keys, key=lambda key: (-key[-1][0], key))
+    flat = [(i, c, v) for i, key in enumerate(ordered) for c, v in key]
+    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 3).T)
+
+
+def test_consequence_rows_match_the_generic_row_builder():
+    for content in invariant_contents():
+        labels = _content_labels(content)
+        for label_major in (False, True):
+            span = list(_span(labels, label_major))
+            got = _consequence_rows(span)
+            want = reference_rows(dict(zip(elem, SIGNS)) for elem in span)
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_consequence_rows_are_deduplicated_in_canonical_order():

@@ -229,6 +229,15 @@ def test_check_partition_rejects_non_integral_parts():
         specht_dim((2.5, 1))
 
 
+def test_weyl_dim_rejects_a_non_integral_m():
+    # 2.5 once gave a bare AssertionError, and 3.0 the float 3.0
+    with pytest.raises(ValueError, match="must be integers"):
+        weyl_dim((2, 1), 2.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        weyl_dim((1,), 3.5)
+    assert type(weyl_dim((1,), 3.0)) is int and weyl_dim((1,), 3.0) == 3
+
+
 def test_multinomial_rejects_non_integral_parts():
     with pytest.raises(ValueError, match="must be integers"):
         multinomial((2.5, 1))
