@@ -212,7 +212,16 @@ def cmd_dims(args) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 # verify
 
-def _check(name: str, expected, actual) -> dict:
+def _check(name: str, expected, compute) -> dict:
+    """One check record: ``compute()`` against ``expected``.
+
+    An unlucky prime or a bad multiplicity is a failed record whose actual
+    value names the error, so every format renders it like any other failure.
+    """
+    try:
+        actual = compute()
+    except (oracle.RankMismatchError, oracle.MultiplicityError) as exc:
+        actual = f"{type(exc).__name__}: {exc}"
     return {"name": name, "expected": str(expected), "actual": str(actual),
             "pass": actual == expected}
 
@@ -232,15 +241,15 @@ def _verify_checks(args) -> list[dict]:
             oracle.write_consequence_matrix(n, dump)
             with open(args.dump_matrix, "w", encoding="utf-8") as fh:
                 fh.write(dump.getvalue())
-        actual = oracle.quotient_dim(n, prime=args.prime, second_prime=args.second_prime)
-        return [_check(f"quotient dimension, degree {n}", algebra.codimension(n), actual),
+        return [_check(f"quotient dimension, degree {n}", algebra.codimension(n),
+                       lambda: oracle.quotient_dim(n, args.prime, args.second_prime)),
                 _check(f"irreducible multiplicities, degree {n}",
                        algebra.sn_decomposition(n).render(),
-                       oracle.oracle_multiplicities(n).render())]
-    actual = oracle.quotient_dim_multigraded(content, prime=args.prime,
-                                             second_prime=args.second_prime)
-    return [_check(f"multigraded dimension, degree {','.join(map(str, content))}",
-                   algebra.multigraded_dim(content), actual)]
+                       lambda: oracle.oracle_multiplicities(n).render())]
+    name = f"multigraded dimension, degree {','.join(map(str, content))}"
+    return [_check(name, algebra.multigraded_dim(content),
+                   lambda: oracle.quotient_dim_multigraded(content, args.prime,
+                                                           args.second_prime))]
 
 
 def cmd_verify(args) -> tuple[str, int]:
@@ -248,10 +257,7 @@ def cmd_verify(args) -> tuple[str, int]:
         raise UsageError("give exactly one of --n or --multidegree")
     if args.dump_matrix and args.n is None:
         raise UsageError("--dump-matrix applies to --n only")
-    try:
-        checks = _verify_checks(args)
-    except (oracle.RankMismatchError, oracle.MultiplicityError) as exc:
-        return f"FAIL: {exc}\n", EXIT_VERIFY_FAILED
+    checks = _verify_checks(args)
     all_pass = all(c["pass"] for c in checks)
     code = EXIT_OK if all_pass else EXIT_VERIFY_FAILED
     if args.format == "json":
@@ -309,9 +315,10 @@ def build_parser(default_format: str | None) -> _Parser:
                        help="brute-force T-ideal check against the formulas")
     p.add_argument("--n", type=int)
     p.add_argument("--multidegree", metavar="L1,L2,...")
-    p.add_argument("--prime", type=int, help="modulus for the prime-field pass")
+    p.add_argument("--prime", type=int, help="cross-check the certified rank modulo this "
+                   "prime; the certified pass always runs modulo 2^31 - 1")
     p.add_argument("--second-prime", type=int,
-                   help="cross-check the rank modulo a second prime")
+                   help="cross-check the certified rank modulo another prime")
     p.add_argument("--allow-n6", action="store_true",
                    help="permit components of more than 1680 columns, up to 30240")
     p.add_argument("--dump-matrix", metavar="FILE",

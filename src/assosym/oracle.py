@@ -29,32 +29,33 @@ form at DEFAULT_PRIME, once per content, is lifted to symmetric residues and
 checked exactly: every consequence row must be the integer combination of
 the lifted rows at its pivot columns.  That proves rank over Q <= rank mod p, and rank
 mod p <= rank over Q always holds, so the lifted rows are the unique reduced
-echelon form over Q and their number is both ranks; an unlucky prime raises
-RankMismatchError instead of a wrong answer.  Only another requested prime
-is eliminated again, over the same rows.  One guard bounds every component
-by its column count, MAX_COLUMNS.  The reduced rows give a rewriting map into
-a quotient basis, the free columns, and from it traces of the symmetric-group
-action.
-
-Every elimination orders its columns label-major: by label sequence, then
-tree shape.  Every consequence row has four +-1 terms, two label sequences
-under two tree shapes each, so this order puts the two shapes of each label
-sequence side by side and the column sweep creates far less fill-in.  The
-canonical order below is kept where the package outputs monomials: the
-enumerations, the span and the matrix dump.  Everything is sequential and
-deterministic: fixed generation, row and column order, no randomness, no
-threads.
+echelon form over Q and their number is both ranks.  Every other requested
+prime eliminates the same rows once more and must give that rank; an unlucky
+prime raises RankMismatchError instead of a wrong answer.  One guard bounds
+every component by its column count, MAX_COLUMNS.  The reduced rows give a
+rewriting map into a quotient basis, the free columns, and from it traces of
+the symmetric-group action.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
 the left-to-right label sequence.  Over a sorted label multiset with S tree
 shapes and A distinct leaf sequences (arrangements), monomial s * A + a in
-canonical order has shape s and arrangement a; its label-major column is
-a * S + s.  The span and the systems are built on these (shape, arrangement)
-indices alone: the shape of a substituted or plugged term comes from a cached
-graft of two shapes and its arrangement from an index of the arrangements,
-so only the public span functions and the quotient basis turn indices into
-monomials.
+canonical order has shape s and arrangement a.  This canonical order is the
+only one outside the system builder: the enumerations, the span, the matrix
+dump and the public span functions all use it.  The span is built on these
+(shape, arrangement) indices alone: the shape of a substituted or plugged
+term comes from a cached graft of two shapes and its arrangement from an
+index of the arrangements, so only the public span functions and the
+quotient basis turn indices into monomials.
+
+The elimination alone orders its columns label-major: column a * S + s, by
+label sequence, then tree shape.  Every consequence row has four +-1 terms,
+two label sequences under two tree shapes each, so this order puts the two
+shapes of each label sequence side by side and the column sweep creates far
+less fill-in.  ``_to_label_major`` is that map, applied once to the span's
+column array where the rows are built; the quotient basis names its columns
+through it.  Everything is sequential and deterministic: fixed generation,
+row and column order, no randomness, no threads.
 """
 
 from dataclasses import dataclass, field
@@ -79,8 +80,8 @@ SIGNS = (1, -1, -1, 1)  # the coefficients of every consequence's four terms, in
 class RankMismatchError(RuntimeError):
     """An unlucky prime.
 
-    Modular and rational ranks disagree, two primes differ, or an echelon
-    form mod p does not lift to one over Q.
+    A rank mod p differs from the rank over Q, or the echelon form mod the
+    default prime does not lift to one over Q.
     """
 
 
@@ -176,17 +177,6 @@ def monomials_with_labels(labels: tuple[int, ...]) -> tuple:
     return tuple(
         relabel(t, arr) for t in _templates(len(labels)) for arr in _arrangements(labels)
     )
-
-
-def _label_major(labels: tuple[int, ...]) -> list:
-    """The monomials over a label multiset, sorted by (leaf_labels, shape_key).
-
-    The canonical order has one block per tree shape, each listing the label
-    arrangements in order, so this order is its transpose.
-    """
-    ambient = monomials_with_labels(labels)
-    step = len(ambient) // len(_templates(len(labels)))  # arrangements per shape
-    return [m for j in range(step) for m in ambient[j::step]]
 
 
 def _component(content, least: int = 1) -> tuple:
@@ -306,7 +296,7 @@ def _without(labels: tuple, sub: tuple) -> tuple:
     return tuple(rest)
 
 
-def _instances(blocks, context_labels, index, weights):
+def _instances(blocks, context_labels, index):
     """The consequences of one label split as four columns or (), in generation order.
 
     For each generator and substitution of block monomials, every one-hole
@@ -315,12 +305,12 @@ def _instances(blocks, context_labels, index, weights):
     coefficients SIGNS, or cancel in pairs, 1 with 3 and 2 with 4, to ();
     any other coincidence breaks the invariant and raises AssertionError.
     No monomial is built: a block monomial is ((shape, size), leaf
-    sequence), and the column of a plugged term is ``shape * weights[0] +
-    arrangement * weights[1]``.  Per substitution, the shape part is
-    computed once per context shape and hole position, the arrangement part
-    once per context arrangement.
+    sequence), and a plugged term is the canonical column ``shape * A +
+    arrangement``, for the A = ``len(index)`` arrangements.  Per
+    substitution, the shape part is computed once per context shape and
+    hole position, the arrangement part once per context arrangement.
     """
-    ws, wa = weights
+    stride = len(index)  # arrangements per shape
     size = len(context_labels) + 1
     inner_size = sum(map(len, blocks))
     holes = [(arr.index(HOLE), arr) for arr in _arrangements((HOLE,) + context_labels)]
@@ -334,10 +324,9 @@ def _instances(blocks, context_labels, index, weights):
             shapes = _substituted_shapes(g, s1, s2, s3)
             arrs = (l1, l2, l3)
             leaves = [arrs[i] + arrs[j] + arrs[k] for i, j, k in seqs]
-            arr_cols = [[index[arr[:h] + x + arr[h + 1:]] * wa for x in leaves]
-                        for h, arr in holes]
+            arr_cols = [[index[arr[:h] + x + arr[h + 1:]] for x in leaves] for h, arr in holes]
             for c in range(len(_templates(size))):
-                shape_cols = [[_graft(c, size, h, s, inner_size) * ws for s in shapes]
+                shape_cols = [[_graft(c, size, h, s, inner_size) * stride for s in shapes]
                               for h in range(size)]
                 for (h, _), acols in zip(holes, arr_cols):
                     elem = tuple(map(add, shape_cols[h], acols))
@@ -349,7 +338,7 @@ def _instances(blocks, context_labels, index, weights):
                         raise AssertionError(f"columns {elem} neither differ nor cancel")
 
 
-def _span(labels: tuple, label_major: bool = False):
+def _span(labels: tuple):
     """Every consequence over a sorted label multiset, in generation order.
 
     Each split into three nonempty blocks and a (possibly empty) context, with
@@ -357,18 +346,25 @@ def _span(labels: tuple, label_major: bool = False):
     element per generator.  Redundant (even duplicate) elements are fine;
     the row builder absorbs them.  Elements are four columns, coefficients
     SIGNS, or () for zero, over the canonical columns of
-    ``monomials_with_labels(labels)``, or over the label-major columns of
-    ``_label_major(labels)``.
+    ``monomials_with_labels(labels)``: the only column order of the span.
     """
-    shapes, arrs = len(_templates(len(labels))), len(_arrangements(labels))
-    weights = (1, shapes) if label_major else (arrs, 1)
     index = {arr: a for a, arr in enumerate(_arrangements(labels))}
     for b1 in _sub_multisets(labels):
         rest1 = _without(labels, b1)
         for b2 in _sub_multisets(rest1):
             rest2 = _without(rest1, b2)
             for b3 in _sub_multisets(rest2):
-                yield from _instances((b1, b2, b3), _without(rest2, b3), index, weights)
+                yield from _instances((b1, b2, b3), _without(rest2, b3), index)
+
+
+def _to_label_major(cols, labels: tuple):
+    """Canonical columns s * A + a as label-major columns a * S + s, elementwise.
+
+    S tree shapes and A arrangements over ``labels``; ``cols`` is any integer
+    array.  The one place the label-major order is defined.
+    """
+    arrs = len(_arrangements(labels))
+    return cols % arrs * len(_templates(len(labels))) + cols // arrs
 
 
 def _content_labels(content) -> tuple[int, ...]:
@@ -396,18 +392,19 @@ def consequence_span_multigraded(content) -> list[dict]:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def _consequence_rows(elements) -> tuple:
-    """Consequences (four columns, coefficients SIGNS, or ()) as rows, deduplicated.
+def _consequence_rows(cols: np.ndarray) -> tuple:
+    """Nonzero consequences, an (m, 4) int64 column array, as rows, deduplicated.
 
-    Each row is sorted by column, its signs carried along and flipped to +1
-    at the minimal column: rows equal up to sign collapse to one key, the
-    interleaved (column, value) pairs.  Keys come out in one canonical
-    order, by descending last column and then by key: neither the rank nor
-    the reduced echelon form depends on row order, but this one keeps the
-    elimination sweeps small.  The result is one (row, column, value) triple
-    of int64 entry arrays, row i the i-th key, its entries by column.
+    Row i of ``cols`` holds one consequence's columns, coefficients SIGNS,
+    in either column order.  Each row is sorted by column, its signs carried
+    along and flipped to +1 at the minimal column: rows equal up to sign
+    collapse to one key, the interleaved (column, value) pairs.  Keys come
+    out in one canonical order, by descending last column and then by key:
+    neither the rank nor the reduced echelon form depends on row order, but
+    this one keeps the elimination sweeps small.  The result is one (row,
+    column, value) triple of int64 entry arrays, row i the i-th key, its
+    entries by column.
     """
-    cols = np.fromiter(filter(None, elements), dtype=np.dtype((np.int64, 4)))
     order = np.argsort(cols, axis=1)
     signs = np.array(SIGNS)[order]
     signs *= signs[:, :1]
@@ -626,14 +623,16 @@ class QuotientBasis:
 def _system(content: tuple[int, ...]) -> tuple:
     """(column count, rows, pivot mask, lifted rows) of a component: the one builder.
 
-    The span is generated over label-major columns, rows in the canonical
+    The canonical span becomes one (m, 4) column array, mapped label-major
+    by ``_to_label_major`` before the rows are built in the canonical row
     order.  The reduced form mod DEFAULT_PRIME is lifted and kept only if it
     spans every row over Z; its number of pivots is then the rank over Q and
     mod p.  Built once per content, shared read-only by rank and basis code.
     """
     labels = _content_labels(content)
     ncols = len(_templates(len(labels))) * len(_arrangements(labels))
-    rows = _consequence_rows(_span(labels, label_major=True))
+    cols = np.fromiter(filter(None, _span(labels)), dtype=np.dtype((np.int64, 4)))
+    rows = _consequence_rows(_to_label_major(cols, labels))
     p = DEFAULT_PRIME
     pivot, (owner, col, val) = _echelon(rows, ncols, p)
     lifted = (owner, col, _lift(val, p))
@@ -646,7 +645,9 @@ def _system(content: tuple[int, ...]) -> tuple:
 def quotient_basis(n: int) -> QuotientBasis:
     """Exact reduced row echelon data for the degree-n multilinear quotient."""
     content = _multilinear(n)
-    columns = _label_major(_content_labels(content))
+    labels = _content_labels(content)
+    ambient = monomials_with_labels(labels)
+    columns = dict(zip(_to_label_major(np.arange(len(ambient)), labels).tolist(), ambient))
     _, _, pivot, (owner, col, val) = _system(content)
     basis = tuple(columns[i] for i in np.flatnonzero(~pivot).tolist())
     rewrite_map: dict = {columns[c]: {} for c in np.flatnonzero(pivot).tolist()}
@@ -658,22 +659,20 @@ def quotient_basis(n: int) -> QuotientBasis:
 def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
     """Quotient dimension of one component from its certified rank over Q.
 
-    Another requested prime eliminates the same rows and must give that rank.
+    Every given modulus is checked before any elimination.  Each given prime
+    other than DEFAULT_PRIME, once even if given twice, eliminates the same
+    rows again and must give the certified rank.
     """
-    primes = [p for p in (DEFAULT_PRIME if prime is None else prime, second_prime)
-              if p is not None]
-    for p in primes:  # a bad modulus fails before any elimination work
+    primes = dict.fromkeys(p for p in (prime, second_prime) if p is not None)
+    for p in primes:
         _check_modulus(p)
     ncols, rows, pivot, _ = _system(content)
     rank = int(pivot.sum())
-    ranks = [rank if p == DEFAULT_PRIME else int(_echelon(rows, ncols, p)[0].sum())
-             for p in primes]
-    if ranks[-1] != ranks[0]:
-        raise RankMismatchError(
-            f"rank {ranks[0]} mod {primes[0]} but {ranks[-1]} mod {primes[-1]}")
-    if ranks[0] != rank:
-        raise RankMismatchError(f"modular rank {ranks[0]} != rational rank {rank}; "
-                                "retry with a different prime")
+    for p in primes:
+        modular = rank if p == DEFAULT_PRIME else int(_echelon(rows, ncols, p)[0].sum())
+        if modular != rank:
+            raise RankMismatchError(f"rank {modular} mod {p} but {rank} over Q; "
+                                    "retry with a different prime")
     return ncols - rank
 
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -307,6 +309,35 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--n", "3")
     assert code == 2
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("flag", ["--prime", "--second-prime"])
+def test_verify_unlucky_prime_is_a_failed_check_in_every_format(capsys, flag):
+    # 4,1 has rank 60 over Q but 59 mod 3: a failed check, not a dimension
+    message = "RankMismatchError: rank 59 mod 3 but 60 over Q; retry with a different prime"
+    argv = ("verify", "--multidegree", "4,1", flag, "3")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (2, "")
+    assert out == f"FAIL: multigraded dimension, degree 4,1: computed {message}, expected 10\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out) == {"checks": [{"name": "multigraded dimension, degree 4,1",
+                                           "expected": "10", "actual": message,
+                                           "pass": False}],
+                               "all_pass": False}
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 2
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["check", "expected", "actual", "status"],
+        ["multigraded dimension, degree 4,1", "10", message, "fail"]]
+
+
+def test_verify_unlucky_prime_still_runs_the_multiplicity_check(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n", "5", "--prime", "3", "--format", "json")
+    assert code == 2
+    first, second = json.loads(out)["checks"]
+    assert first["actual"].startswith("RankMismatchError: rank ") and not first["pass"]
+    assert second["pass"]
 
 
 def test_verify_dump_matrix(capsys, tmp_path):

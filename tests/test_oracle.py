@@ -35,12 +35,12 @@ from assosym.oracle import (
     _consequence_rows,
     _content_labels,
     _echelon,
-    _label_major,
     _lift,
     _span,
     _spans,
-    _system,
     _sub_multisets,
+    _system,
+    _to_label_major,
     _without,
 )
 from assosym.partitions import generate_partitions
@@ -71,6 +71,17 @@ def index_rows(elements, columns):
     col = {m: i for i, m in enumerate(columns)}
     assert all(tuple(elem.values()) in (SIGNS, ()) for elem in elements)
     return [tuple(col[m] for m in elem) for elem in elements]
+
+
+def span_array(elements) -> np.ndarray:
+    """Span elements, four columns or (), as the (m, 4) int64 array of the nonzero ones."""
+    return np.fromiter(filter(None, elements), dtype=np.dtype((np.int64, 4)))
+
+
+def label_major(labels) -> list:
+    """The monomials over a label multiset sorted by (leaf_labels, shape_key): the reference."""
+    ambient = monomials_with_labels(labels)
+    return sorted(ambient, key=lambda m: (leaf_labels(m), shape_key(m)))
 
 
 def entries(rows: list[dict]) -> tuple:
@@ -176,15 +187,15 @@ def test_identity_generators_shape():
 def test_consequence_span_degree_3():
     span = consequence_span(3)
     assert len(span) == 12
-    rows = _consequence_rows(index_rows(span, _label_major((1, 2, 3))))
+    rows = _consequence_rows(span_array(index_rows(span, label_major((1, 2, 3)))))
     assert as_rows(_system((1, 1, 1))[1]) == as_rows(rows)
     assert _system((1, 1, 1))[2].sum() == 5  # 12 ambient - 7 quotient
 
 
 def test_consequence_span_degree_4_rank():
     span = consequence_span(4)
-    columns = _label_major((1, 2, 3, 4))
-    rows = _consequence_rows(index_rows(span, columns))
+    columns = label_major((1, 2, 3, 4))
+    rows = _consequence_rows(span_array(index_rows(span, columns)))
     assert as_rows(_system((1,) * 4)[1]) == as_rows(rows)
     assert _system((1,) * 4)[2].sum() == 91  # 120 - 29
     assert _echelon(rows, len(columns), 2**31 - 1)[0].sum() == 91
@@ -203,9 +214,10 @@ def test_span_matches_the_nested_tuple_reference():
         want = reference_span(labels)
         got = consequence_span_multigraded(content)
         assert [list(elem.items()) for elem in got] == [list(elem.items()) for elem in want]
-        label_major = index_rows(want, _label_major(labels))
-        got = _span(labels, label_major=True)
-        assert list(got) == label_major
+        canonical = list(_span(labels))
+        assert canonical == index_rows(want, monomials_with_labels(labels))
+        got = _to_label_major(span_array(canonical), labels)
+        assert np.array_equal(got, span_array(index_rows(want, label_major(labels))))
 
 
 def invariant_contents():
@@ -219,9 +231,9 @@ def test_every_consequence_is_four_distinct_columns_or_empty():
     assert len(contents) == 34
     for content in contents:
         labels = _content_labels(content)
-        for label_major in (False, True):
-            for elem in _span(labels, label_major):
-                assert elem == () or (len(elem) == 4 and len(set(elem)) == 4)
+        for elem in _span(labels):
+            assert elem == () or (len(elem) == 4 and len(set(elem)) == 4)
+            assert len(set(_to_label_major(np.array(elem, dtype=np.int64), labels))) == len(elem)
 
 
 def test_generator_coefficients_are_the_one_sign_pattern(monkeypatch):
@@ -267,15 +279,15 @@ def reference_rows(elements) -> tuple:
 def test_consequence_rows_match_the_generic_row_builder():
     for content in invariant_contents():
         labels = _content_labels(content)
-        for label_major in (False, True):
-            span = list(_span(labels, label_major))
-            got = _consequence_rows(span)
-            want = reference_rows(dict(zip(elem, SIGNS)) for elem in span)
+        canonical = span_array(_span(labels))
+        for cols in (canonical, _to_label_major(canonical, labels)):
+            got = _consequence_rows(cols)
+            want = reference_rows(dict(zip(elem, SIGNS)) for elem in cols.tolist())
             assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_consequence_rows_are_deduplicated_in_canonical_order():
-    rows = as_rows(_consequence_rows(_span((1, 2, 3, 4))))
+    rows = as_rows(_consequence_rows(span_array(_span((1, 2, 3, 4)))))
     keys = [tuple(sorted(row.items())) for row in rows]
     assert len(set(keys)) == len(keys) == 120  # 240 span elements, pairs collapse
     assert keys == sorted(keys, key=lambda key: (-key[-1][0], key))
@@ -283,7 +295,7 @@ def test_consequence_rows_are_deduplicated_in_canonical_order():
 
 
 def test_reduced_pivots_do_not_depend_on_row_order():
-    rows = _consequence_rows(_span((1, 2, 3, 4)))
+    rows = _consequence_rows(span_array(_span((1, 2, 3, 4))))
     listed = as_rows(rows)
     shuffled = list(listed)
     random.Random(0).shuffle(shuffled)
@@ -491,6 +503,7 @@ def test_unliftable_default_prime_raises(monkeypatch):
     (quotient_dim, 4, {"prime": 3}, 2, 1),
     (quotient_dim_multigraded, (4, 1, 1), {}, 1, 1),  # degree 6: certified like the rest
     (quotient_dim_multigraded, (2, 1, 1), {"second_prime": 1_000_003}, 2, 1),
+    (quotient_dim, 4, {"prime": 1_000_003, "second_prime": 1_000_003}, 2, 1),  # once per prime
 ])
 def test_one_elimination_per_content_and_prime(monkeypatch, call, arg, kwargs, echelons, lifts):
     counts = {"_echelon": 0, "_lift": 0}
@@ -529,6 +542,14 @@ def test_quotient_dim_with_second_prime():
     assert quotient_dim(3, second_prime=1_000_003) == 7
 
 
+@pytest.mark.parametrize("kwargs", [{"prime": 3}, {"second_prime": 3},
+                                    {"prime": 1_000_003, "second_prime": 3}])
+def test_unlucky_prime_raises_rank_mismatch(kwargs):
+    # 4,1 has rank 60 over Q but 59 mod 3: no dimension comes back
+    with pytest.raises(RankMismatchError, match=r"^rank 59 mod 3 but 60 over Q; retry"):
+        quotient_dim_multigraded((4, 1), **kwargs)
+
+
 def test_quotient_dim_guard_and_prime_check():
     with pytest.raises(ValueError):
         quotient_dim(1)
@@ -539,7 +560,7 @@ def test_quotient_dim_guard_and_prime_check():
 
 
 def test_composite_and_oversized_moduli_are_rejected():
-    rows = _consequence_rows(_span((1, 2, 3)))
+    rows = _consequence_rows(span_array(_span((1, 2, 3))))
     for _ in range(2):  # the modulus check is cached: a rejection must recur
         for modulus in (4, 1_000_000, 1_000_001, 2**31 + 1):  # 1000001 = 101 * 9901
             with pytest.raises(ValueError, match="not prime"):
@@ -626,8 +647,9 @@ def test_quotient_dim_multigraded_matches_formula_degree_6(content):
 def test_label_major_order_sorts_by_labels_then_shape():
     for labels in ((1, 2, 3), (1, 1, 2, 3), (1, 2, 3, 4, 5), (1, 1, 1, 2, 2, 3)):
         ambient = monomials_with_labels(labels)
-        expected = sorted(ambient, key=lambda m: (leaf_labels(m), shape_key(m)))
-        assert _label_major(labels) == expected
+        expected = label_major(labels)
+        columns = dict(zip(_to_label_major(np.arange(len(ambient)), labels).tolist(), ambient))
+        assert [columns[j] for j in range(len(ambient))] == expected
 
 
 def test_label_major_rank_equals_the_exact_rank():
@@ -643,8 +665,10 @@ def test_exact_system_is_built_on_the_one_system():
         for content in positive_contents(total):
             labels = _content_labels(content)
             ncols, rows = _system(content)[:2]
-            assert ncols == len(_label_major(labels))
-            want = _consequence_rows(_span(labels, label_major=True))
+            columns = label_major(labels)
+            assert ncols == len(columns)
+            span = consequence_span_multigraded(content)
+            want = _consequence_rows(span_array(index_rows(span, columns)))
             assert all((a == b).all() for a, b in zip(rows, want))
 
 
@@ -671,7 +695,7 @@ def test_label_major_rank_equals_the_canonical_rank_at_degree_6():
     content = (3, 2, 1)
     canonical = monomials_with_labels(_content_labels(content))
     ncols, rows = _system(content)[:2]
-    canonical_rows = _consequence_rows(_span(_content_labels(content)))
+    canonical_rows = _consequence_rows(span_array(_span(_content_labels(content))))
     rank = _echelon(rows, ncols, DEFAULT_PRIME)[0].sum()
     assert rank == _echelon(canonical_rows, len(canonical), DEFAULT_PRIME)[0].sum()
     assert rank == len(canonical) - multigraded_dim(content)
