@@ -86,11 +86,12 @@ def character_table(n: int) -> list[list[int]]:
 
 def character_table_json(n: int) -> dict:
     """Character table as a JSON-ready matrix with explicit row/column labels."""
+    values = character_table(n)  # its degree guard runs before the partitions are listed
     return {
         "n": n,
         "row_partitions": [list(lam) for lam in generate_partitions(n)],
         "column_cycle_types": [list(mu) for mu in generate_partitions(n)],
-        "values": character_table(n),
+        "values": values,
     }
 
 

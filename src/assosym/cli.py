@@ -215,8 +215,9 @@ def cmd_dims(args) -> tuple[str, int]:
 def _check(name: str, expected, compute) -> dict:
     """One check record: ``compute()`` against ``expected``.
 
-    An unlucky prime or a bad multiplicity is a failed record whose actual
-    value names the error, so every format renders it like any other failure.
+    An unliftable echelon form or a bad multiplicity is a failed record whose
+    actual value names the error, so every format renders it like any other
+    failure.
     """
     try:
         actual = compute()
@@ -242,14 +243,13 @@ def _verify_checks(args) -> list[dict]:
             with open(args.dump_matrix, "w", encoding="utf-8") as fh:
                 fh.write(dump.getvalue())
         return [_check(f"quotient dimension, degree {n}", algebra.codimension(n),
-                       lambda: oracle.quotient_dim(n, args.prime, args.second_prime)),
+                       lambda: oracle.quotient_dim(n)),
                 _check(f"irreducible multiplicities, degree {n}",
                        algebra.sn_decomposition(n).render(),
                        lambda: oracle.oracle_multiplicities(n).render())]
     name = f"multigraded dimension, degree {','.join(map(str, content))}"
     return [_check(name, algebra.multigraded_dim(content),
-                   lambda: oracle.quotient_dim_multigraded(content, args.prime,
-                                                           args.second_prime))]
+                   lambda: oracle.quotient_dim_multigraded(content))]
 
 
 def cmd_verify(args) -> tuple[str, int]:
@@ -312,13 +312,12 @@ def build_parser(default_format: str | None) -> _Parser:
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify", parents=[common],
-                       help="brute-force T-ideal check against the formulas")
+                       help="brute-force T-ideal check against the formulas",
+                       description="Brute-force T-ideal check against the formulas.  Every "
+                       "rank is taken modulo 2^31 - 1 and certified over Q; a form that "
+                       "does not lift is a failed check.")
     p.add_argument("--n", type=int)
     p.add_argument("--multidegree", metavar="L1,L2,...")
-    p.add_argument("--prime", type=int, help="cross-check the certified rank modulo this "
-                   "prime; the certified pass always runs modulo 2^31 - 1")
-    p.add_argument("--second-prime", type=int,
-                   help="cross-check the certified rank modulo another prime")
     p.add_argument("--allow-n6", action="store_true",
                    help="permit components of more than 1680 columns, up to 30240")
     p.add_argument("--dump-matrix", metavar="FILE",

@@ -116,8 +116,9 @@ class Decomposition:
             label = Label(tuple(entry["partition"]), entry.get("sign", ""))
             if label in terms:
                 raise ValueError(f"repeated label {label.render()}")
-            terms[label] = int(entry["mult"])
-        return cls(int(data["n"]), data["group"], terms)
+            mult = entry["mult"]
+            terms[label] = int(mult) if isinstance(mult, str) else mult
+        return cls(data["n"], data["group"], terms)
 
     @classmethod
     def from_json(cls, text: str) -> "Decomposition":

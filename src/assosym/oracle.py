@@ -29,9 +29,8 @@ form at DEFAULT_PRIME, once per content, is lifted to symmetric residues and
 checked exactly: every consequence row must be the integer combination of
 the lifted rows at its pivot columns.  That proves rank over Q <= rank mod p, and rank
 mod p <= rank over Q always holds, so the lifted rows are the unique reduced
-echelon form over Q and their number is both ranks.  Every other requested
-prime eliminates the same rows once more and must give that rank; an unlucky
-prime raises RankMismatchError instead of a wrong answer.  One guard bounds
+echelon form over Q and their number is both ranks.  A reduced form that does
+not lift raises RankMismatchError instead of a wrong answer.  One guard bounds
 every component by its column count, MAX_COLUMNS.  The reduced rows give a
 rewriting map into a quotient basis, the free columns, and from it traces of
 the symmetric-group action.
@@ -78,11 +77,7 @@ SIGNS = (1, -1, -1, 1)  # the coefficients of every consequence's four terms, in
 
 
 class RankMismatchError(RuntimeError):
-    """An unlucky prime.
-
-    A rank mod p differs from the rank over Q, or the echelon form mod the
-    default prime does not lift to one over Q.
-    """
+    """An unlucky prime: the echelon form mod DEFAULT_PRIME does not lift to one over Q."""
 
 
 class MultiplicityError(RuntimeError):
@@ -179,11 +174,11 @@ def monomials_with_labels(labels: tuple[int, ...]) -> tuple:
     )
 
 
-def _component(content, least: int = 1) -> tuple:
+def _component(content) -> tuple:
     """(parts, columns) of a content, checked: the one size guard of the oracle.
 
-    ValueError unless the parts are positive integers, of total degree n >=
-    ``least``, and the columns, Catalan(n-1) tree shapes times n!/prod(l_i!)
+    ValueError unless the parts are positive integers, of total degree n >= 1,
+    and the columns, Catalan(n-1) tree shapes times n!/prod(l_i!)
     leaf arrangements, at most MAX_COLUMNS.  Both factors grow with each leaf,
     so counting stops at the first leaf past the limit: huge inputs cost nothing.
     """
@@ -199,19 +194,19 @@ def _component(content, least: int = 1) -> tuple:
                 raise ValueError(f"the component has more than {MAX_COLUMNS} columns "
                                  "(tree shapes times leaf arrangements)")
         parts.append(int(part))
-    if n < least:
-        raise ValueError(f"the degree must be at least {least}")
+    if not parts:
+        raise ValueError("the degree must be positive")
     return tuple(parts), columns
 
 
-def _multilinear(n: int, least: int = 2) -> tuple[int, ...]:
+def _multilinear(n: int) -> tuple[int, ...]:
     """The content (1, ..., 1) of degree n, checked by ``_component``."""
-    return _component(repeat(1, n), least)[0]
+    return _component(repeat(1, n))[0]
 
 
 def enumerate_multilinear(n: int) -> list:
     """All n! * Catalan(n-1) multilinear monomials of degree n, canonical order."""
-    return list(monomials_with_labels(_content_labels(_multilinear(n, 1))))
+    return list(monomials_with_labels(_content_labels(_multilinear(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +448,7 @@ def _substitute(rows: tuple, replaced: np.ndarray, by: tuple, ncols: int, p: int
     ends = np.append(np.flatnonzero(np.diff(owner)) + 1, len(owner))
     sizes = np.cumsum(np.where(hit, counts[col], 1))[ends - 1]  # expanded, up to each row end
     out, lo, first, base = [], 0, 0, 0
-    while first < len(ends):  # rows first..last, at least one
+    while first < len(ends):  # rows first..last, first <= last
         last = max(first, int(np.searchsorted(sizes, base + _EXPANSION_ENTRIES, side="right")) - 1)
         hi = int(ends[last])
         o, c, v, h = owner[lo:hi].astype(np.int64), col[lo:hi], val[lo:hi], hit[lo:hi]
@@ -656,39 +651,23 @@ def quotient_basis(n: int) -> QuotientBasis:
     return QuotientBasis(n=n, monomials=basis, rewrite_map=rewrite_map)
 
 
-def _certified_dim(content: tuple[int, ...], prime, second_prime) -> int:
-    """Quotient dimension of one component from its certified rank over Q.
-
-    Every given modulus is checked before any elimination.  Each given prime
-    other than DEFAULT_PRIME, once even if given twice, eliminates the same
-    rows again and must give the certified rank.
-    """
-    primes = dict.fromkeys(p for p in (prime, second_prime) if p is not None)
-    for p in primes:
-        _check_modulus(p)
-    ncols, rows, pivot, _ = _system(content)
-    rank = int(pivot.sum())
-    for p in primes:
-        modular = rank if p == DEFAULT_PRIME else int(_echelon(rows, ncols, p)[0].sum())
-        if modular != rank:
-            raise RankMismatchError(f"rank {modular} mod {p} but {rank} over Q; "
-                                    "retry with a different prime")
-    return ncols - rank
+def _certified_dim(content: tuple[int, ...]) -> int:
+    """Quotient dimension of one component: its columns less its certified rank over Q."""
+    ncols, _, pivot, _ = _system(content)
+    return ncols - int(pivot.sum())
 
 
-def quotient_dim(n: int, prime: int | None = None, second_prime: int | None = None) -> int:
+def quotient_dim(n: int) -> int:
     """Dimension of the multilinear quotient P_n / (P_n . T-ideal part).
 
     The component of content (1, ..., 1), certified over Q like every other.
     """
-    return _certified_dim(_multilinear(n), prime, second_prime)
+    return _certified_dim(_multilinear(n))
 
 
-def quotient_dim_multigraded(
-    content, prime: int | None = None, second_prime: int | None = None
-) -> int:
+def quotient_dim_multigraded(content) -> int:
     """Dimension of the component with the given positive multidegree, like ``quotient_dim``."""
-    return _certified_dim(_component(content)[0], prime, second_prime)
+    return _certified_dim(_component(content)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,16 @@ def test_decomposition_from_json_rejects_repeated_labels():
     assert Decomposition.from_json_dict(split).total_multiplicity() == 2
 
 
+@pytest.mark.parametrize("n, mult", [(3.7, "2"), (3, 2.9)])
+def test_decomposition_from_json_rejects_non_integral_numbers(n, mult):
+    # int() once truncated these to n = 3 and mult 2
+    data = {"n": n, "group": "S", "terms": [{"partition": [3], "mult": mult}]}
+    with pytest.raises(ValueError, match="must be integers"):
+        Decomposition.from_json_dict(data)
+    data = {"n": 3, "group": "S", "terms": [{"partition": [3], "mult": 2}]}
+    assert Decomposition.from_json_dict(data) == Decomposition(3, "S", {Label((3,)): 2})
+
+
 def test_decomposition_terms_are_read_only_and_canonical():
     for dec in (sn_decomposition(6), an_decomposition(6), an_gl_decomposition(6, 3)):
         with pytest.raises(TypeError):

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from assosym import characters
 from assosym.characters import (
     CharacterVector,
     alternating_label_dimension,
@@ -126,6 +127,15 @@ def test_character_table_guard():
         character_table(13)
     with pytest.raises(ValueError):
         character_table(0)
+
+
+def test_character_table_json_guards_before_listing_partitions(monkeypatch):
+    listed = []
+    monkeypatch.setattr(characters, "generate_partitions", lambda n: listed.append(n))
+    for n in (0, 13, 60):
+        with pytest.raises(ValueError, match="1 <= n <= 12"):
+            character_table_json(n)
+    assert listed == []
 
 
 def test_row_orthogonality_exact():

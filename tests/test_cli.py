@@ -10,8 +10,8 @@ from decimal import Decimal
 import pytest
 
 import assosym
-from assosym import cli
-from assosym.algebra import codimension, graded_dim, involution_count
+from assosym import cli, oracle
+from assosym.algebra import codimension, graded_dim, involution_count, sn_decomposition
 from assosym.decomposition import Decomposition
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(assosym.__file__)))
@@ -251,35 +251,30 @@ def test_verify_multidegree(capsys):
     assert "PASS: multigraded dimension, degree 2,1: 4 = 4" in out
 
 
-def test_verify_rejects_a_composite_modulus(capsys):
-    for argv in (
-        ("verify", "--n", "4", "--prime", "1000000"),
-        ("verify", "--n", "3", "--second-prime", "1000000"),
-        ("verify", "--multidegree", "4,1,1", "--allow-n6", "--prime", "1000000"),
-        ("verify", "--multidegree", "2,1,1", "--second-prime", "1000000"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "1000000 is not prime" in err
-    for argv in (  # zero is a modulus too, not "use the default" or "no cross-check"
-        ("verify", "--n", "3", "--prime", "0"),
-        ("verify", "--n", "3", "--second-prime", "0"),
-        ("verify", "--multidegree", "2,1,1", "--prime", "0"),
-        ("verify", "--multidegree", "2,1,1", "--second-prime", "0"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "prime must exceed 2" in err
-
-
-def test_verify_multidegree_checks_the_second_prime(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--multidegree", "2,1,1", "--second-prime", "1000003"
-    )
+def test_verify_degree_1(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n", "1")
     assert code == 0
-    assert "PASS: multigraded dimension, degree 2,1,1: 16 = 16" in out
+    assert out == ("PASS: quotient dimension, degree 1: 1 = 1\n"
+                   "PASS: irreducible multiplicities, degree 1: 1*S^{(1)} = 1*S^{(1)}\n")
+
+
+def test_verify_degree_1_is_the_content_1_component(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--multidegree", "1")
+    assert (code, out) == (0, "PASS: multigraded dimension, degree 1: 1 = 1\n")
+
+
+def test_verify_dump_matrix_degree_1(capsys, tmp_path):
+    target = tmp_path / "matrix.txt"
+    code, _, _ = run_cli(capsys, "verify", "--n", "1", "--dump-matrix", str(target))
+    assert code == 0
+    assert target.read_text() == "0 1\n"  # one column, no consequence
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_verify_rejects_a_degree_below_1(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "--n", n)
+    assert (code, out) == (1, "")
+    assert "the degree must be positive" in err
 
 
 def test_verify_degree_6_needs_opt_in(capsys):
@@ -311,11 +306,31 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.fixture
+def fresh_oracle_caches():
+    """Empty the certified-system caches before and after, so a patched prime is used."""
+    caches = (oracle._system, oracle.quotient_basis)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
 @pytest.mark.parametrize("flag", ["--prime", "--second-prime"])
-def test_verify_unlucky_prime_is_a_failed_check_in_every_format(capsys, flag):
-    # 4,1 has rank 60 over Q but 59 mod 3: a failed check, not a dimension
-    message = "RankMismatchError: rank 59 mod 3 but 60 over Q; retry with a different prime"
-    argv = ("verify", "--multidegree", "4,1", flag, "3")
+def test_verify_unlucky_prime_is_a_failed_check_in_every_format(
+        capsys, monkeypatch, fresh_oracle_caches, flag):
+    argv = ("verify", "--multidegree", "4,1")
+    # the rank is certified over Q: no flag picks another prime, in any format
+    for fmt in ("pretty", "json", "csv"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, flag, "7", "--format", fmt])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (1, "")
+        assert f"unrecognized arguments: {flag} 7" in out.err
+    # mod 7 the echelon form of 4,1 does not lift to Q: a failed check, not a dimension
+    monkeypatch.setattr(oracle, "DEFAULT_PRIME", 7)
+    message = "RankMismatchError: the echelon form mod 7 does not lift to one over Q"
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (2, "")
     assert out == f"FAIL: multigraded dimension, degree 4,1: computed {message}, expected 10\n"
@@ -332,12 +347,17 @@ def test_verify_unlucky_prime_is_a_failed_check_in_every_format(capsys, flag):
         ["multigraded dimension, degree 4,1", "10", message, "fail"]]
 
 
-def test_verify_unlucky_prime_still_runs_the_multiplicity_check(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--n", "5", "--prime", "3", "--format", "json")
+def test_verify_unlucky_prime_still_runs_the_multiplicity_check(
+        capsys, monkeypatch, fresh_oracle_caches):
+    # mod 3 the form of 1^4 does not lift: both checks are reported, each as a failure
+    monkeypatch.setattr(oracle, "DEFAULT_PRIME", 3)
+    code, out, _ = run_cli(capsys, "verify", "--n", "4", "--format", "json")
     assert code == 2
-    first, second = json.loads(out)["checks"]
-    assert first["actual"].startswith("RankMismatchError: rank ") and not first["pass"]
-    assert second["pass"]
+    message = "RankMismatchError: the echelon form mod 3 does not lift to one over Q"
+    assert json.loads(out)["checks"] == [
+        {"name": f"{name}, degree 4", "expected": expected, "actual": message, "pass": False}
+        for name, expected in [("quotient dimension", "29"),
+                               ("irreducible multiplicities", sn_decomposition(4).render())]]
 
 
 def test_verify_dump_matrix(capsys, tmp_path):
@@ -349,7 +369,7 @@ def test_verify_dump_matrix(capsys, tmp_path):
     assert len(lines) == 49
 
 
-@pytest.mark.parametrize("n", ["7", "1"])
+@pytest.mark.parametrize("n", ["7", "0"])
 def test_verify_dump_matrix_leaves_files_alone_on_bad_degree(capsys, tmp_path, n):
     existing, new = tmp_path / "existing.txt", tmp_path / "new.txt"
     existing.write_bytes(b"keep me\n")

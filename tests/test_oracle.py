@@ -496,16 +496,11 @@ def test_unliftable_default_prime_raises(monkeypatch):
         _system.cache_clear()
 
 
-@pytest.mark.parametrize("call, arg, kwargs, echelons, lifts", [
-    (quotient_dim, 5, {}, 1, 1),
-    (quotient_dim, 5, {"prime": DEFAULT_PRIME}, 1, 1),
-    (quotient_dim, 3, {"second_prime": 1_000_003}, 2, 1),
-    (quotient_dim, 4, {"prime": 3}, 2, 1),
-    (quotient_dim_multigraded, (4, 1, 1), {}, 1, 1),  # degree 6: certified like the rest
-    (quotient_dim_multigraded, (2, 1, 1), {"second_prime": 1_000_003}, 2, 1),
-    (quotient_dim, 4, {"prime": 1_000_003, "second_prime": 1_000_003}, 2, 1),  # once per prime
+@pytest.mark.parametrize("call, arg", [
+    (quotient_dim, 5),
+    (quotient_dim_multigraded, (4, 1, 1)),  # degree 6: certified like the rest
 ])
-def test_one_elimination_per_content_and_prime(monkeypatch, call, arg, kwargs, echelons, lifts):
+def test_one_elimination_per_content_and_prime(monkeypatch, call, arg):
     counts = {"_echelon": 0, "_lift": 0}
 
     def counted(name):
@@ -520,43 +515,44 @@ def test_one_elimination_per_content_and_prime(monkeypatch, call, arg, kwargs, e
         monkeypatch.setattr(oracle, name, counted(name))
     _system.cache_clear()
     try:
-        call(arg, **kwargs)
+        call(arg)
     finally:
         _system.cache_clear()
-    assert counts == {"_echelon": echelons, "_lift": lifts}
+    assert counts == {"_echelon": 1, "_lift": 1}
 
 
 def test_consequence_span_guard():
+    assert consequence_span(1) == []  # one leaf: no consequence
     with pytest.raises(ValueError):
-        consequence_span(1)
+        consequence_span(0)
     with pytest.raises(ValueError):
         consequence_span(7)
 
 
 def test_quotient_dim_matches_formula():
-    for n in range(2, 6):
+    for n in range(1, 6):
         assert quotient_dim(n) == codimension(n)
 
 
-def test_quotient_dim_with_second_prime():
-    assert quotient_dim(3, second_prime=1_000_003) == 7
+def test_degree_1_is_certified_like_every_other_degree():
+    assert quotient_dim(1) == quotient_dim_multigraded((1,)) == codimension(1) == 1
+    assert oracle_multiplicities(1) == sn_decomposition(1)
 
 
-@pytest.mark.parametrize("kwargs", [{"prime": 3}, {"second_prime": 3},
-                                    {"prime": 1_000_003, "second_prime": 3}])
-def test_unlucky_prime_raises_rank_mismatch(kwargs):
-    # 4,1 has rank 60 over Q but 59 mod 3: no dimension comes back
-    with pytest.raises(RankMismatchError, match=r"^rank 59 mod 3 but 60 over Q; retry"):
-        quotient_dim_multigraded((4, 1), **kwargs)
+def test_degree_1_quotient_basis_is_the_single_leaf():
+    qb = quotient_basis(1)
+    assert (qb.n, qb.monomials, qb.rewrite_map) == (1, (1,), {})
 
 
 def test_quotient_dim_guard_and_prime_check():
-    with pytest.raises(ValueError):
-        quotient_dim(1)
-    with pytest.raises(ValueError):
-        quotient_dim(7)
-    with pytest.raises(ValueError):
-        quotient_dim(3, prime=2)
+    for n in (0, -1, 7):
+        with pytest.raises(ValueError):
+            quotient_dim(n)
+    # the certified rank is the only one: no modulus is taken
+    with pytest.raises(TypeError):
+        quotient_dim(3, prime=3)
+    with pytest.raises(TypeError):
+        quotient_dim_multigraded((2, 1), second_prime=3)
 
 
 def test_composite_and_oversized_moduli_are_rejected():
@@ -565,20 +561,12 @@ def test_composite_and_oversized_moduli_are_rejected():
         for modulus in (4, 1_000_000, 1_000_001, 2**31 + 1):  # 1000001 = 101 * 9901
             with pytest.raises(ValueError, match="not prime"):
                 _echelon(rows, 12, modulus)
-        with pytest.raises(ValueError, match="not prime"):
-            quotient_dim(4, prime=1_000_000)
-        with pytest.raises(ValueError, match="not prime"):
-            quotient_dim(3, second_prime=1_000_000)
-        with pytest.raises(ValueError, match="not prime"):
-            quotient_dim_multigraded((4, 1, 1), prime=1_000_000)
         # prime, but (p-1)^2 overflows int64
         with pytest.raises(ValueError, match="int64"):
-            quotient_dim(3, prime=3_221_225_461)
-        for kwargs in ({"prime": 0}, {"second_prime": 0}):  # zero is a modulus, not "unset"
+            _echelon(rows, 12, 3_221_225_461)
+        for modulus in (0, 2):
             with pytest.raises(ValueError, match="prime must exceed 2"):
-                quotient_dim(3, **kwargs)
-            with pytest.raises(ValueError, match="prime must exceed 2"):
-                quotient_dim_multigraded((2, 1), **kwargs)
+                _echelon(rows, 12, modulus)
     assert _echelon(rows, 12, 3)[0].sum() == 5
     assert _echelon(rows, 12, 3_037_000_493)[0].sum() == 5  # largest prime below 2^31.5
 
@@ -770,7 +758,7 @@ def test_oracle_guards():
     with pytest.raises(ValueError):
         quotient_character(7)
     with pytest.raises(ValueError):
-        oracle_multiplicities(1)
+        oracle_multiplicities(0)
 
 
 def test_consequence_matrix_dump_format():
