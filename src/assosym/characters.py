@@ -23,6 +23,7 @@ from .partitions import (
     Partition,
     _beta,
     _conjugate,
+    _integers,
     _specht_dim,
     check_partition,
     generate_partitions,
@@ -78,6 +79,7 @@ def mn_character(lam: Partition, mu: CycleType) -> int:
 
 def character_table(n: int) -> list[list[int]]:
     """Rows indexed by partitions, columns by cycle types, both canonical order."""
+    (n,) = _integers((n,), "n")
     if not 1 <= n <= 12:
         raise ValueError("character_table is limited to 1 <= n <= 12")
     classes = generate_partitions(n)

@@ -17,8 +17,8 @@ Every such consequence is four distinct monomials with the coefficients SIGNS
 2. Term 1 equals term 3 exactly when the two swapped blocks are equal, and
    then term 2 equals term 4: the consequence is zero.
 3. Otherwise all four differ.
-So the span yields each consequence as its four columns, or () when it
-vanishes, and ``_instances`` asserts that nothing else happens.
+So the span gives each consequence as its four columns and marks those that
+vanish; ``_span`` asserts that nothing else happens.
 
 One pipeline serves every content: one span enumerator, one system builder
 (deduplicated rows in one canonical row order over label-major columns), one
@@ -42,10 +42,14 @@ shapes and A distinct leaf sequences (arrangements), monomial s * A + a in
 canonical order has shape s and arrangement a.  This canonical order is the
 only one outside the system builder: the enumerations, the span, the matrix
 dump and the public span functions all use it.  The span is built on these
-(shape, arrangement) indices alone: the shape of a substituted or plugged
-term comes from a cached graft of two shapes and its arrangement from an
-index of the arrangements, so only the public span functions and the
-quotient basis turn indices into monomials.
+(shape, arrangement) indices alone, as one (m, 4) int64 array in generation
+order.  Its splits are batched by pattern, the blocks and the context with
+their labels renumbered 1, 2, ...: per pattern, two cached numpy tables give
+every term's shape (through a table of shape grafts) and, from the split's
+labels, a code of its leaf sequence, looked up among the arrangements in
+one step.  The matrix dump formats that array a fixed number of rows at a
+time; only the public span functions and the quotient basis turn indices
+into monomials.
 
 The elimination alone orders its columns label-major: column a * S + s, by
 label sequence, then tree shape.  Every consequence row has four +-1 terms,
@@ -59,15 +63,14 @@ row and column order, no randomness, no threads.
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, product, repeat
-from math import comb, isqrt
-from operator import add
+from itertools import combinations, repeat
+from math import comb, isqrt, prod
 
 import numpy as np
 
 from .characters import CharacterVector, inner_product, irreducible_character
 from .decomposition import GROUP_SYMMETRIC, Decomposition, Label
-from .partitions import generate_partitions
+from .partitions import _integers, generate_partitions
 
 DEFAULT_PRIME = 2**31 - 1  # Mersenne; any prime below 2^31.5 keeps int64 exact
 MAX_COLUMNS = 30240  # the 1^6 component: 42 tree shapes times 720 arrangements
@@ -128,26 +131,36 @@ def _templates(n: int) -> tuple:
     return tuple(out)
 
 
-@cache
-def _graft(outer: int, size: int, leaf: int, inner: int, inner_size: int) -> int:
-    """The shape made by putting shape ``inner`` at leaf position ``leaf`` of ``outer``.
+def _shape_count(n: int) -> int:
+    """Catalan(n-1): the number of tree shapes with n leaves, ``len(_templates(n))``."""
+    return comb(2 * n - 2, n - 1) // n
 
-    Shapes are indices into ``_templates`` of their size; the result is one
-    of ``size + inner_size - 1`` leaves.  Positions are 0-based.
+
+@cache
+def _graft(size: int, inner_size: int) -> np.ndarray:
+    """The shape made by putting shape ``inner`` at leaf ``leaf`` of ``outer``, as a table.
+
+    Entry [outer, leaf, inner], leaf 0-based; shapes are indices into
+    ``_templates`` of their size, the result one of ``size + inner_size - 1``
+    leaves.  Built from the tables of the subtrees: ``_templates(n)`` lists
+    the pairs (left, right) by left size, then left, then right.
     """
-    images = [
-        *range(1, leaf + 1),
-        relabel(_templates(inner_size)[inner], range(leaf + 1, leaf + inner_size + 1)),
-        *range(leaf + inner_size + 1, size + inner_size),
-    ]
-    grafted = relabel(_templates(size)[outer], images)
-    return _shape_index(size + inner_size - 1)[grafted]
+    if size == 1:
+        return np.arange(_shape_count(inner_size)).reshape(1, 1, -1)
+    n = size + inner_size - 1
 
+    def pair(left_size, left, right):  # index of (left, right) in _templates(n)
+        before = sum(_shape_count(k) * _shape_count(n - k) for k in range(1, left_size))
+        return before + left * _shape_count(n - left_size) + right
 
-@cache
-def _shape_index(n: int) -> dict:
-    """Each tree shape with n leaves -> its index in ``_templates(n)``."""
-    return {t: i for i, t in enumerate(_templates(n))}
+    blocks = []
+    for k in range(1, size):  # the outer shapes with k leaves on the left
+        rights = _shape_count(size - k)
+        left, right = np.divmod(np.arange(_shape_count(k) * rights), rights)
+        into_left = pair(k + inner_size - 1, _graft(k, inner_size)[left], right[:, None, None])
+        into_right = pair(k, left[:, None, None], _graft(size - k, inner_size)[right])
+        blocks.append(np.concatenate([into_left, into_right], axis=1))
+    return np.concatenate(blocks)
 
 
 @cache
@@ -184,23 +197,25 @@ def _component(content) -> tuple:
     """
     parts, n, arrangements, columns = [], 0, 1, 0
     for part in content:
-        if int(part) != part or part < 1:
+        (part,) = _integers((part,), "multidegree parts")
+        if part < 1:
             raise ValueError(f"multidegree parts must be positive integers, got {part!r}")
-        for k in range(1, int(part) + 1):
+        for k in range(1, part + 1):
             n += 1
             arrangements = arrangements * n // k
-            columns = comb(2 * n - 2, n - 1) // n * arrangements
+            columns = _shape_count(n) * arrangements
             if columns > MAX_COLUMNS:
                 raise ValueError(f"the component has more than {MAX_COLUMNS} columns "
                                  "(tree shapes times leaf arrangements)")
-        parts.append(int(part))
+        parts.append(part)
     if not parts:
         raise ValueError("the degree must be positive")
     return tuple(parts), columns
 
 
 def _multilinear(n: int) -> tuple[int, ...]:
-    """The content (1, ..., 1) of degree n, checked by ``_component``."""
+    """The content (1, ..., 1) of degree n (an int or an integral float), checked."""
+    (n,) = _integers((n,), "n")
     return _component(repeat(1, n))[0]
 
 
@@ -258,20 +273,24 @@ def _generator_terms() -> tuple:
 
 
 @cache
-def _substituted_shapes(g: int, *inner) -> tuple:
-    """The shapes of generator g's terms with variable i replaced by a shape.
+def _substituted_shapes(sizes: tuple) -> np.ndarray:
+    """The shapes of the generators' terms with each variable replaced by a shape.
 
-    ``inner[i]`` is (shape, size) of the monomial substituted for variable i.
+    A (G, S1, S2, S3, 4) table: entry [g, s1, s2, s3, t] is the shape of
+    generator g's term t with variable i replaced by shape s_i of
+    ``sizes[i]`` leaves, one of the S_i such shapes.
     """
+    counts = tuple(map(_shape_count, sizes))
+    axes = np.ix_(*map(np.arange, counts))
     out = []
-    for shape, seq in _generator_terms()[g]:
-        size = 3
-        for leaf in (2, 1, 0):  # right to left, so the leaves still to fill stay put
-            s, s_size = inner[seq[leaf]]
-            shape = _graft(shape, size, leaf, s, s_size)
-            size += s_size - 1
-        out.append(shape)
-    return tuple(out)
+    for terms in _generator_terms():
+        for shape, seq in terms:
+            size = 3
+            for leaf in (2, 1, 0):  # right to left, so the leaves still to fill stay put
+                shape = _graft(size, sizes[seq[leaf]])[shape, leaf, axes[seq[leaf]]]
+                size += sizes[seq[leaf]] - 1
+            out.append(shape)
+    return np.moveaxis(np.reshape(out, (-1, len(SIGNS)) + counts), 1, -1)
 
 
 def _sub_multisets(labels: tuple):
@@ -291,65 +310,118 @@ def _without(labels: tuple, sub: tuple) -> tuple:
     return tuple(rest)
 
 
-def _instances(blocks, context_labels, index):
-    """The consequences of one label split as four columns or (), in generation order.
+def _standardised(labels: tuple) -> tuple:
+    """A sorted label tuple as (its labels renumbered 1, 2, ... in order, its distinct labels)."""
+    distinct = tuple(dict.fromkeys(labels))
+    return tuple(distinct.index(x) + 1 for x in labels), distinct
 
-    For each generator and substitution of block monomials, every one-hole
-    context monomial over the hole and ``context_labels`` takes each
-    substituted term at its hole.  The terms are four distinct columns, with
-    coefficients SIGNS, or cancel in pairs, 1 with 3 and 2 with 4, to ();
-    any other coincidence breaks the invariant and raises AssertionError.
-    No monomial is built: a block monomial is ((shape, size), leaf
-    sequence), and a plugged term is the canonical column ``shape * A +
-    arrangement``, for the A = ``len(index)`` arrangements.  Per
-    substitution, the shape part is computed once per context shape and
-    hole position, the arrangement part once per context arrangement.
+
+def _slot_weights(slots: np.ndarray, powers: np.ndarray, nslots: int) -> np.ndarray:
+    """Per row of leaf slots, each slot's summed position weights: (..., nslots)."""
+    return (np.eye(nslots, dtype=np.int64)[slots] * powers[..., None]).sum(-2)
+
+
+@cache
+def _split_tables(pattern: tuple, base: int) -> tuple:
+    """(shape table, slot weights, columns per split) of one split pattern.
+
+    A pattern is a split's three blocks and context, each renumbered by
+    ``_standardised``; a split is the pattern and its slot values, the
+    distinct labels of block 1, 2, 3 and the context, concatenated.  Its
+    consequences come in the order (g, s1, a1, s2, a2, s3, a3, c, h, t):
+    generator, shape and arrangement of each block monomial, context shape
+    and context arrangement (which places the hole), term.  The shape table
+    holds each term's shape, broadcast over the a_i axes; a term's
+    arrangement is the split's slot values times the weights, a base-``base``
+    code of its leaf sequence.  Both are built whole with numpy.
     """
-    stride = len(index)  # arrangements per shape
-    size = len(context_labels) + 1
-    inner_size = sum(map(len, blocks))
-    holes = [(arr.index(HOLE), arr) for arr in _arrangements((HOLE,) + context_labels)]
-    mons = [
-        [((s, len(b)), arr) for s in range(len(_templates(len(b)))) for arr in _arrangements(b)]
-        for b in blocks
-    ]
-    for g, terms in enumerate(_generator_terms()):
-        seqs = [seq for _, seq in terms]
-        for (s1, l1), (s2, l2), (s3, l3) in product(*mons):
-            shapes = _substituted_shapes(g, s1, s2, s3)
-            arrs = (l1, l2, l3)
-            leaves = [arrs[i] + arrs[j] + arrs[k] for i, j, k in seqs]
-            arr_cols = [[index[arr[:h] + x + arr[h + 1:]] for x in leaves] for h, arr in holes]
-            for c in range(len(_templates(size))):
-                shape_cols = [[_graft(c, size, h, s, inner_size) * stride for s in shapes]
-                              for h in range(size)]
-                for (h, _), acols in zip(holes, arr_cols):
-                    elem = tuple(map(add, shape_cols[h], acols))
-                    if len(set(elem)) == 4:
-                        yield elem
-                    elif elem[0] == elem[2] and elem[1] == elem[3]:
-                        yield ()
-                    else:
-                        raise AssertionError(f"columns {elem} neither differ nor cancel")
+    *blocks, context = pattern
+    sizes = tuple(map(len, blocks))
+    inner_size, size = sum(sizes), len(context) + 1
+    n = inner_size + size - 1
+    holes = np.array(_arrangements((HOLE,) + context)).reshape(-1, size)
+    at = np.argmin(holes, axis=1)  # HOLE = 0 is below every renumbered label
+    shapes = _graft(size, inner_size)[
+        np.arange(_shape_count(size))[:, None, None], at[:, None],
+        _substituted_shapes(sizes)[..., None, None, :]]  # (G, S1, S2, S3, C, H, 4)
+
+    starts = np.cumsum([0] + [max(part, default=0) for part in pattern])
+    nslots = int(starts[-1])
+    arrangements = [np.array(_arrangements(b)) - 1 + start for b, start in zip(blocks, starts)]
+    inner = []  # per term: the weights of the plugged blocks' leaves, before the hole's scale
+    for terms in _generator_terms():
+        for _, seq in terms:
+            term, offset = 0, inner_size
+            for v in seq:
+                offset -= sizes[v]  # weight base^(leaves right of the leaf, within the term)
+                powers = base ** (offset + np.arange(sizes[v])[::-1])
+                w = _slot_weights(arrangements[v], powers, nslots)
+                term = term + w.reshape([-1 if axis == v else 1 for axis in range(3)] + [nslots])
+            inner.append(term)
+    inner = np.reshape(inner, (-1, len(SIGNS)) + term.shape)  # (G, 4, A1, A2, A3, slots)
+    position = np.arange(size)
+    position = np.where(position < at[:, None], position, position + inner_size - 1)
+    outside = _slot_weights(holes - 1 + starts[3],  # the hole's own weight is 0
+                            np.where(holes == HOLE, 0, base ** (n - 1 - position)), nslots)
+    weights = inner[:, :, :, :, :, None] * base ** (n - inner_size - at)[:, None] + outside
+    weights = np.moveaxis(weights, (-1, 1), (0, -1))  # (slots, G, A1, A2, A3, H, 4)
+    shapes = shapes[:, :, None, :, None, :, None]
+    weights = weights[:, :, None, :, None, :, None, :, None]
+    return shapes, weights, prod(np.broadcast_shapes(shapes.shape, weights.shape[1:]))
 
 
-def _span(labels: tuple):
-    """Every consequence over a sorted label multiset, in generation order.
+def _span(labels: tuple) -> tuple:
+    """Every consequence over a sorted label multiset: (columns, vanishing), in generation order.
 
     Each split into three nonempty blocks and a (possibly empty) context, with
     monomials on the blocks and a one-hole context monomial, contributes one
-    element per generator.  Redundant (even duplicate) elements are fine;
-    the row builder absorbs them.  Elements are four columns, coefficients
-    SIGNS, or () for zero, over the canonical columns of
-    ``monomials_with_labels(labels)``: the only column order of the span.
+    consequence per generator.  Redundant (even duplicate) ones are fine;
+    the row builder absorbs them.  ``columns`` is an (m, 4) int64 array, row
+    i the four canonical columns of ``monomials_with_labels(labels)`` of
+    consequence i, coefficients SIGNS; ``vanishing`` marks the rows whose
+    terms cancel in pairs, 1 with 3 and 2 with 4.  Any other coincidence
+    breaks the invariant and raises AssertionError.
+
+    The splits are walked once, only to give each its first row.  Splits of
+    one pattern share the cached ``_split_tables``: one product of their
+    slot values with the weights gives every term's leaf sequence as a code,
+    one ``searchsorted`` among the sorted codes of ``_arrangements(labels)``
+    its arrangement a, and the term's column is shape * A + a.
     """
-    index = {arr: a for a, arr in enumerate(_arrangements(labels))}
+    n, base = len(labels), max(labels, default=0) + 1
+    if base**n >= 2**63:
+        raise AssertionError("leaf sequences overflow int64 as base-B codes")
+    arrangements = _arrangements(labels)
+    codes = np.array(arrangements, dtype=np.int64).reshape(len(arrangements), n)
+    codes = codes @ base ** np.arange(n - 1, -1, -1)  # increasing: lexicographic order
+    groups: dict = {}
+    total = 0
     for b1 in _sub_multisets(labels):
         rest1 = _without(labels, b1)
         for b2 in _sub_multisets(rest1):
             rest2 = _without(rest1, b2)
             for b3 in _sub_multisets(rest2):
-                yield from _instances((b1, b2, b3), _without(rest2, b3), index)
+                pattern, values = zip(*map(_standardised, (b1, b2, b3, _without(rest2, b3))))
+                firsts, slot_values = groups.setdefault(pattern, ([], []))
+                firsts.append(total)
+                slot_values.append(sum(values, ()))
+                total += _split_tables(pattern, base)[2]
+    cols = np.empty(total, dtype=np.int64)
+    for pattern, (firsts, slot_values) in groups.items():
+        shapes, weights, count = _split_tables(pattern, base)
+        found = np.tensordot(np.array(slot_values, dtype=np.int64), weights, 1)
+        arr = np.minimum(np.searchsorted(codes, found), len(codes) - 1)
+        if (codes[arr] != found).any():
+            raise AssertionError("a term's leaf sequence is not an arrangement of the labels")
+        terms = shapes * len(codes) + arr
+        cols[np.add.outer(firsts, np.arange(count))] = terms.reshape(len(firsts), count)
+    cols = cols.reshape(-1, 4)
+    same = cols[:, :, None] == cols[:, None, :]
+    vanishing = same[:, 0, 2] & same[:, 1, 3]
+    bad = np.flatnonzero(~vanishing & (same.sum((1, 2)) != 4))
+    if len(bad):
+        raise AssertionError(f"columns {tuple(cols[bad[0]].tolist())} neither differ nor cancel")
+    return cols, vanishing
 
 
 def _to_label_major(cols, labels: tuple):
@@ -359,7 +431,7 @@ def _to_label_major(cols, labels: tuple):
     array.  The one place the label-major order is defined.
     """
     arrs = len(_arrangements(labels))
-    return cols % arrs * len(_templates(len(labels))) + cols // arrs
+    return cols % arrs * _shape_count(len(labels)) + cols // arrs
 
 
 def _content_labels(content) -> tuple[int, ...]:
@@ -368,7 +440,9 @@ def _content_labels(content) -> tuple[int, ...]:
 
 def _monomial_span(labels: tuple) -> list[dict]:
     ambient = monomials_with_labels(labels)
-    return [dict(zip([ambient[c] for c in elem], SIGNS)) for elem in _span(labels)]
+    cols, vanishing = _span(labels)
+    return [{} if zero else dict(zip(map(ambient.__getitem__, row), SIGNS))
+            for row, zero in zip(cols.tolist(), vanishing.tolist())]
 
 
 def consequence_span(n: int) -> list[dict]:
@@ -572,7 +646,7 @@ def _spans(rows: tuple, pivot: np.ndarray, lifted: tuple) -> bool:
     ``lifted`` holds the reduced rows on symmetric residues, pivot entries
     left out, over ``len(pivot)`` columns.  A row is spanned iff its residual,
     its entries at free columns minus that sum, is zero: one ``_substitute``
-    mod 2^40.  Nothing wraps: a row's entries, four +-1 terms as ``_instances``
+    mod 2^40.  Nothing wraps: a row's entries, four +-1 terms as ``_span``
     asserts, sum to at most 4 in absolute value and a lifted entry is at
     most p/2 < 2^30.8, so every product stays below 2^33 and every residual
     below 4 + 4 * p/2 < 2^34 < 2^40; it is zero over Z iff it is zero mod
@@ -625,9 +699,9 @@ def _system(content: tuple[int, ...]) -> tuple:
     mod p.  Built once per content, shared read-only by rank and basis code.
     """
     labels = _content_labels(content)
-    ncols = len(_templates(len(labels))) * len(_arrangements(labels))
-    cols = np.fromiter(filter(None, _span(labels)), dtype=np.dtype((np.int64, 4)))
-    rows = _consequence_rows(_to_label_major(cols, labels))
+    ncols = _shape_count(len(labels)) * len(_arrangements(labels))
+    cols, vanishing = _span(labels)
+    rows = _consequence_rows(_to_label_major(cols[~vanishing], labels))
     p = DEFAULT_PRIME
     pivot, (owner, col, val) = _echelon(rows, ncols, p)
     lifted = (owner, col, _lift(val, p))
@@ -648,7 +722,7 @@ def quotient_basis(n: int) -> QuotientBasis:
     rewrite_map: dict = {columns[c]: {} for c in np.flatnonzero(pivot).tolist()}
     for c, k, v in zip(owner.tolist(), col.tolist(), val.tolist()):
         rewrite_map[columns[c]][columns[k]] = -v
-    return QuotientBasis(n=n, monomials=basis, rewrite_map=rewrite_map)
+    return QuotientBasis(n=len(content), monomials=basis, rewrite_map=rewrite_map)
 
 
 def _certified_dim(content: tuple[int, ...]) -> int:
@@ -694,7 +768,7 @@ def permutation_trace(n: int, images: tuple[int, ...]) -> int:
 
 def quotient_character(n: int) -> CharacterVector:
     """Exact character of the quotient, one trace per cycle type."""
-    _multilinear(n)  # before the partitions of n are listed
+    n = len(_multilinear(n))  # before the partitions of n are listed
     return CharacterVector(n, tuple(
         permutation_trace(n, class_representative(mu)) for mu in generate_partitions(n)
     ))
@@ -703,6 +777,7 @@ def quotient_character(n: int) -> CharacterVector:
 def oracle_multiplicities(n: int) -> Decomposition:
     """Decomposition recovered from the quotient character by inner products."""
     chi = quotient_character(n)
+    n = chi.n
     terms: dict[Label, int] = {}
     for lam in generate_partitions(n):
         mult = inner_product(chi, irreducible_character(lam))
@@ -715,16 +790,23 @@ def oracle_multiplicities(n: int) -> Decomposition:
     return Decomposition(n, GROUP_SYMMETRIC, terms)
 
 
+_DUMP_ROWS = 2048  # consequences per formatted chunk: bounds the text held at once
+
+
 def write_consequence_matrix(n: int, stream) -> None:
     """Dump the degree-n consequence matrix as sparse triplets.
 
     First line: ``nrows ncols``; then one ``row col numerator/denominator``
-    triple per nonzero, rows and columns 0-based in canonical order.
+    triple per nonzero, rows and columns 0-based in canonical order, each
+    row's entries by column.  A vanishing consequence keeps its row number
+    and has no entries.  The rows are written ``_DUMP_ROWS`` at a time.
     """
     labels = _content_labels(_multilinear(n))
-    lines = [
-        "".join([f"{i} {c} {v}/1\n" for c, v in sorted(zip(elem, SIGNS))])
-        for i, elem in enumerate(_span(labels))
-    ]
-    stream.write(f"{len(lines)} {len(_templates(n)) * len(_arrangements(labels))}\n")
-    stream.writelines(lines)
+    cols, vanishing = _span(labels)
+    stream.write(f"{len(cols)} {_shape_count(len(labels)) * len(_arrangements(labels))}\n")
+    for lo in range(0, len(cols), _DUMP_ROWS):
+        rows = lo + np.flatnonzero(~vanishing[lo:lo + _DUMP_ROWS])
+        order = np.argsort(cols[rows], axis=1)
+        entries = np.stack([rows.repeat(4), np.take_along_axis(cols[rows], order, axis=1).ravel(),
+                            np.array(SIGNS)[order].ravel()], axis=1)
+        stream.write("%d %d %d/1\n" * len(entries) % tuple(entries.ravel().tolist()))

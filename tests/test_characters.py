@@ -129,6 +129,12 @@ def test_character_table_guard():
         character_table(0)
 
 
+def test_character_table_takes_an_integral_float():
+    assert character_table(3.0) == character_table(3)
+    with pytest.raises(ValueError, match="must be integers"):
+        character_table(2.5)
+
+
 def test_character_table_json_guards_before_listing_partitions(monkeypatch):
     listed = []
     monkeypatch.setattr(characters, "generate_partitions", lambda n: listed.append(n))

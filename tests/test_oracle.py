@@ -78,6 +78,18 @@ def span_array(elements) -> np.ndarray:
     return np.fromiter(filter(None, elements), dtype=np.dtype((np.int64, 4)))
 
 
+def span_elements(labels) -> list:
+    """``_span(labels)`` as span elements: each row's four columns, or () where it vanishes."""
+    cols, vanishing = _span(labels)
+    return [() if zero else tuple(row) for row, zero in zip(cols.tolist(), vanishing.tolist())]
+
+
+def span_columns(labels) -> np.ndarray:
+    """The (m, 4) column array of the nonzero consequences of ``_span(labels)``."""
+    cols, vanishing = _span(labels)
+    return cols[~vanishing]
+
+
 def label_major(labels) -> list:
     """The monomials over a label multiset sorted by (leaf_labels, shape_key): the reference."""
     ambient = monomials_with_labels(labels)
@@ -207,14 +219,15 @@ def test_multilinear_span_is_the_content_one_component():
 
 
 def test_span_matches_the_nested_tuple_reference():
-    contents = [c for total in range(1, 6) for c in positive_contents(total)] + [(3, 2, 1)]
-    assert len(contents) == 32
+    contents = [c for total in range(1, 6) for c in positive_contents(total)] + [
+        (3, 2, 1), (2, 2, 2), (4, 1, 1), (4, 3)]
+    assert len(contents) == 35
     for content in contents:
         labels = _content_labels(content)
         want = reference_span(labels)
         got = consequence_span_multigraded(content)
         assert [list(elem.items()) for elem in got] == [list(elem.items()) for elem in want]
-        canonical = list(_span(labels))
+        canonical = span_elements(labels)
         assert canonical == index_rows(want, monomials_with_labels(labels))
         got = _to_label_major(span_array(canonical), labels)
         assert np.array_equal(got, span_array(index_rows(want, label_major(labels))))
@@ -231,9 +244,14 @@ def test_every_consequence_is_four_distinct_columns_or_empty():
     assert len(contents) == 34
     for content in contents:
         labels = _content_labels(content)
-        for elem in _span(labels):
-            assert elem == () or (len(elem) == 4 and len(set(elem)) == 4)
-            assert len(set(_to_label_major(np.array(elem, dtype=np.int64), labels))) == len(elem)
+        cols, vanishing = _span(labels)
+        assert cols.shape == (len(vanishing), 4) and cols.dtype == np.int64
+        for elem, zero in zip(cols.tolist(), vanishing.tolist()):
+            if zero:  # the terms cancel in pairs, 1 with 3 and 2 with 4
+                assert elem[0] == elem[2] and elem[1] == elem[3]
+                continue
+            assert len(set(elem)) == 4
+            assert len(set(_to_label_major(np.array(elem, dtype=np.int64), labels))) == 4
 
 
 def test_generator_coefficients_are_the_one_sign_pattern(monkeypatch):
@@ -250,11 +268,13 @@ def test_a_consequence_that_neither_differs_nor_cancels_raises(monkeypatch):
     broken = ([g1[0], g1[0], *g1[2:]], g2)  # term 2 a copy of term 1
     monkeypatch.setattr(oracle, "_generator_terms", lambda: broken)
     oracle._substituted_shapes.cache_clear()
+    oracle._split_tables.cache_clear()
     try:
         with pytest.raises(AssertionError, match="neither differ nor cancel"):
-            list(_span((1, 2, 3)))
+            _span((1, 2, 3))
     finally:
         oracle._substituted_shapes.cache_clear()
+        oracle._split_tables.cache_clear()
 
 
 def reference_rows(elements) -> tuple:
@@ -279,7 +299,7 @@ def reference_rows(elements) -> tuple:
 def test_consequence_rows_match_the_generic_row_builder():
     for content in invariant_contents():
         labels = _content_labels(content)
-        canonical = span_array(_span(labels))
+        canonical = span_columns(labels)
         for cols in (canonical, _to_label_major(canonical, labels)):
             got = _consequence_rows(cols)
             want = reference_rows(dict(zip(elem, SIGNS)) for elem in cols.tolist())
@@ -287,7 +307,7 @@ def test_consequence_rows_match_the_generic_row_builder():
 
 
 def test_consequence_rows_are_deduplicated_in_canonical_order():
-    rows = as_rows(_consequence_rows(span_array(_span((1, 2, 3, 4)))))
+    rows = as_rows(_consequence_rows(span_columns((1, 2, 3, 4))))
     keys = [tuple(sorted(row.items())) for row in rows]
     assert len(set(keys)) == len(keys) == 120  # 240 span elements, pairs collapse
     assert keys == sorted(keys, key=lambda key: (-key[-1][0], key))
@@ -295,7 +315,7 @@ def test_consequence_rows_are_deduplicated_in_canonical_order():
 
 
 def test_reduced_pivots_do_not_depend_on_row_order():
-    rows = _consequence_rows(span_array(_span((1, 2, 3, 4))))
+    rows = _consequence_rows(span_columns((1, 2, 3, 4)))
     listed = as_rows(rows)
     shuffled = list(listed)
     random.Random(0).shuffle(shuffled)
@@ -556,7 +576,7 @@ def test_quotient_dim_guard_and_prime_check():
 
 
 def test_composite_and_oversized_moduli_are_rejected():
-    rows = _consequence_rows(span_array(_span((1, 2, 3))))
+    rows = _consequence_rows(span_columns((1, 2, 3)))
     for _ in range(2):  # the modulus check is cached: a rejection must recur
         for modulus in (4, 1_000_000, 1_000_001, 2**31 + 1):  # 1000001 = 101 * 9901
             with pytest.raises(ValueError, match="not prime"):
@@ -683,7 +703,7 @@ def test_label_major_rank_equals_the_canonical_rank_at_degree_6():
     content = (3, 2, 1)
     canonical = monomials_with_labels(_content_labels(content))
     ncols, rows = _system(content)[:2]
-    canonical_rows = _consequence_rows(span_array(_span(_content_labels(content))))
+    canonical_rows = _consequence_rows(span_columns(_content_labels(content)))
     rank = _echelon(rows, ncols, DEFAULT_PRIME)[0].sum()
     assert rank == _echelon(canonical_rows, len(canonical), DEFAULT_PRIME)[0].sum()
     assert rank == len(canonical) - multigraded_dim(content)
@@ -790,6 +810,42 @@ def test_consequence_matrix_dump_is_pinned_at_degree_6():
     assert len(data) == 7845013
     digest = hashlib.sha256(data).hexdigest()
     assert digest == "857731cca97601fcd1dbbd1d4d3b79d876b11486f3c5d5239cb32732ec9fd140"
+
+
+def test_consequence_matrix_dump_is_streamed_in_chunks():
+    class Recorder(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text.encode()))
+            return super().write(text)
+
+    sizes: list[int] = []
+    buf = Recorder()
+    write_consequence_matrix(6, buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "857731cca97601fcd1dbbd1d4d3b79d876b11486f3c5d5239cb32732ec9fd140"
+    assert sum(sizes) == 7845013 and len(sizes) > 1
+    assert max(sizes) <= 1 << 20  # no write holds more than 1 MB of the 7.8 MB dump
+
+
+def dump(n) -> str:
+    buf = io.StringIO()
+    write_consequence_matrix(n, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("call", [quotient_dim, consequence_span, enumerate_multilinear, dump])
+def test_integral_float_degree_is_the_degree(call):
+    assert call(3.0) == call(3)
+    with pytest.raises(ValueError, match="must be integers"):
+        call(2.5)
+
+
+def test_quotient_basis_of_an_integral_float_has_an_int_degree():
+    qb = quotient_basis.__wrapped__(2.0)  # past the cache, which 2 and 2.0 share
+    assert qb.n == 2 and type(qb.n) is int
+    assert qb == quotient_basis(2)
+    with pytest.raises(ValueError, match="must be integers"):
+        quotient_basis(2.5)
 
 
 def test_deterministic_rebuild():
