@@ -227,6 +227,24 @@ def _check(name: str, expected, compute) -> dict:
             "pass": actual == expected}
 
 
+def _dump_matrix(n: int, target: str) -> None:
+    """Stream the degree-n consequence matrix into a new file beside target, then rename it.
+
+    ``os.replace`` within one directory is one rename: a failure part-way
+    leaves an existing target as it was, creates none and removes the
+    partial file, which this process alone names.
+    """
+    partial = f"{target}.{os.getpid()}.partial"
+    fh = open(partial, "x", encoding="utf-8")
+    try:
+        with fh:
+            oracle.write_consequence_matrix(n, fh)
+        os.replace(partial, target)
+    except BaseException:
+        os.unlink(partial)
+        raise
+
+
 LONG_RUN_COLUMNS = 1680  # the 1^5 component: every input of degree <= 5 runs without --allow-n6
 
 
@@ -238,10 +256,7 @@ def _verify_checks(args) -> list[dict]:
         raise UsageError(f"over {LONG_RUN_COLUMNS} columns is a long run; pass --allow-n6")
     if n is not None:
         if args.dump_matrix:
-            dump = io.StringIO()  # built first, so a failure leaves FILE untouched
-            oracle.write_consequence_matrix(n, dump)
-            with open(args.dump_matrix, "w", encoding="utf-8") as fh:
-                fh.write(dump.getvalue())
+            _dump_matrix(n, args.dump_matrix)
         return [_check(f"quotient dimension, degree {n}", algebra.codimension(n),
                        lambda: oracle.quotient_dim(n)),
                 _check(f"irreducible multiplicities, degree {n}",
@@ -312,10 +327,11 @@ def build_parser(default_format: str | None) -> _Parser:
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify", parents=[common],
-                       help="brute-force T-ideal check against the formulas",
-                       description="Brute-force T-ideal check against the formulas.  Every "
-                       "rank is taken modulo 2^31 - 1 and certified over Q; a form that "
-                       "does not lift is a failed check.")
+                       help="T-ideal oracle check against the formulas",
+                       description="T-ideal oracle check against the formulas: --n by brute "
+                       "force, --multidegree level by level.  Every rank is taken modulo "
+                       "2^31 - 1 and certified over Q; a form that does not lift is a "
+                       "failed check.")
     p.add_argument("--n", type=int)
     p.add_argument("--multidegree", metavar="L1,L2,...")
     p.add_argument("--allow-n6", action="store_true",

@@ -1,4 +1,4 @@
-"""Ground-truth verification by brute force inside the absolutely free algebra.
+"""Ground-truth verification inside the absolutely free algebra, by brute force or level by level.
 
 A component of content (l_1, ..., l_r) is spanned by all planar binary trees
 whose leaves read the label multiset 1^l_1 ... r^l_r.  The multilinear part
@@ -20,20 +20,27 @@ Every such consequence is four distinct monomials with the coefficients SIGNS
 So the span gives each consequence as its four columns and marks those that
 vanish; ``_span`` asserts that nothing else happens.
 
-One pipeline serves every content: one span enumerator, one system builder
-(deduplicated rows in one canonical row order over label-major columns), one
-elimination kernel and one certificate, all on numpy entry arrays.  The
-kernel computes the reduced echelon form over GF(p) (block Gauss-Jordan, p a
-prime below 2^31.5); its number of pivots is the rank mod p.  The reduced
-form at DEFAULT_PRIME, once per content, is lifted to symmetric residues and
-checked exactly: every consequence row must be the integer combination of
-the lifted rows at its pivot columns.  That proves rank over Q <= rank mod p, and rank
-mod p <= rank over Q always holds, so the lifted rows are the unique reduced
-echelon form over Q and their number is both ranks.  A reduced form that does
-not lift raises RankMismatchError instead of a wrong answer.  One guard bounds
-every component by its column count, MAX_COLUMNS.  The reduced rows give a
-rewriting map into a quotient basis, the free columns, and from it traces of
-the symmetric-group action.
+Two system builders share one elimination kernel and one certificate, all
+on numpy entry arrays.  The brute force, ``_system``, takes one span
+enumerator's consequences as deduplicated rows in one canonical row order
+over label-major columns; it serves ``quotient_dim``, the quotient basis,
+the matrix dump and the span functions.  The recursive ``_level`` serves
+``quotient_dim_multigraded``: A(U) is the sum of A(L) (x) A(U - L) over the
+splits of the labels U at the root, modulo the generators applied at the
+root to basis elements of the lower levels, whose certified normal forms
+rewrite each inner product.  Its columns are those products, 444 against
+2520 at content 3,2,1.  The kernel computes the reduced echelon form over
+GF(p) (block Gauss-Jordan, p a prime below 2^31.5); its number of pivots is
+the rank mod p.  The reduced form at DEFAULT_PRIME, once per content or
+level, is lifted to symmetric residues and checked exactly: every row must
+be the integer combination of the lifted rows at its pivot columns, mod
+2^40 under a bound taken from the data.  That proves rank over Q <= rank
+mod p, and rank mod p <= rank over Q always holds, so the lifted rows are
+the unique reduced echelon form over Q and their number is both ranks.  A
+reduced form that does not lift raises RankMismatchError instead of a wrong
+answer.  One guard bounds every component by its brute-force column count,
+MAX_COLUMNS.  The reduced rows give a rewriting map into a quotient basis,
+the free columns, and from it traces of the symmetric-group action.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
@@ -640,20 +647,46 @@ def _lift(values: np.ndarray, p: int) -> np.ndarray:
     return np.where(values > p // 2, values - p, values)
 
 
+_CERTIFICATE_MODULUS = 1 << 40
+
+
 def _spans(rows: tuple, pivot: np.ndarray, lifted: tuple) -> bool:
-    """Whether each row equals, over Z, the sum of row[c] * lifted[c] over pivots c.
+    """Whether each row provably equals, over Z, the sum of row[c] * lifted[c] over pivots c.
 
     ``lifted`` holds the reduced rows on symmetric residues, pivot entries
     left out, over ``len(pivot)`` columns.  A row is spanned iff its residual,
     its entries at free columns minus that sum, is zero: one ``_substitute``
-    mod 2^40.  Nothing wraps: a row's entries, four +-1 terms as ``_span``
-    asserts, sum to at most 4 in absolute value and a lifted entry is at
-    most p/2 < 2^30.8, so every product stays below 2^33 and every residual
-    below 4 + 4 * p/2 < 2^34 < 2^40; it is zero over Z iff it is zero mod
-    2^40.  The values go in signed: reduced into [0, 2^40), a product of two
-    would overflow int64.
+    mod 2^40.  The bound comes from the data: a residual is a row entry less
+    at most one product per entry of its row, so it stays below
+    B = max |row entry| * (1 + longest row * max |lifted entry|) in absolute
+    value, and so does every product.  If B < 2^40, nothing wraps and a
+    residual is zero over Z iff it is zero mod 2^40; otherwise nothing is
+    proven and the answer is False.  The values go in signed: reduced into
+    [0, 2^40), a product of two would overflow int64.
     """
-    return not len(_substitute(rows, pivot, lifted, len(pivot), 1 << 40)[0])
+    owner, _, val = rows
+    if len(owner):
+        longest = int(np.bincount(owner).max())
+        largest = int(np.abs(lifted[2]).max(initial=0))
+        if int(np.abs(val).max()) * (1 + longest * largest) >= _CERTIFICATE_MODULUS:
+            return False
+    return not len(_substitute(rows, pivot, lifted, len(pivot), _CERTIFICATE_MODULUS)[0])
+
+
+def _certified_form(rows: tuple, ncols: int) -> tuple:
+    """(pivot mask, lifted rows): the reduced echelon form over Q, or RankMismatchError.
+
+    The one certificate.  The reduced form mod DEFAULT_PRIME is lifted to
+    symmetric residues and kept only if ``_spans`` proves that it spans
+    every row over Z; its number of pivots is then the rank over Q and mod p,
+    and the lifted rows, integral, are the unique reduced echelon form over Q.
+    """
+    p = DEFAULT_PRIME
+    pivot, (owner, col, val) = _echelon(rows, ncols, p)
+    lifted = (owner, col, _lift(val, p))
+    if not _spans(rows, pivot, lifted):
+        raise RankMismatchError(f"the echelon form mod {p} does not lift to one over Q")
+    return pivot, lifted
 
 
 # ---------------------------------------------------------------------------
@@ -702,12 +735,180 @@ def _system(content: tuple[int, ...]) -> tuple:
     ncols = _shape_count(len(labels)) * len(_arrangements(labels))
     cols, vanishing = _span(labels)
     rows = _consequence_rows(_to_label_major(cols[~vanishing], labels))
-    p = DEFAULT_PRIME
-    pivot, (owner, col, val) = _echelon(rows, ncols, p)
-    lifted = (owner, col, _lift(val, p))
-    if not _spans(rows, pivot, lifted):
-        raise RankMismatchError(f"the echelon form mod {p} does not lift to one over Q")
-    return ncols, rows, pivot, lifted
+    return (ncols, rows, *_certified_form(rows, ncols))
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The certified quotient A(V) over a standardised label tuple V: one level.
+
+    ``dim`` is dim A(V).  For two or more labels, A(V) is spanned by the
+    products u_a u_b of basis elements of A(L) and A(V - L), over the nonempty
+    proper sub-multisets L: column ``offsets[L] + a * dim A(V - L) + b``.
+    Column c's normal form over the basis of A(V), its free columns in order,
+    is ``counts[c]`` (basis index, coefficient) pairs, in ``basis`` and
+    ``coefs`` grouped by column: a free column is itself, a pivot column
+    minus its lifted reduced row.
+    """
+
+    dim: int
+    offsets: dict = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    coefs: np.ndarray = field(repr=False)
+
+
+def _distinct_rows(owner: np.ndarray, col: np.ndarray, val: np.ndarray) -> tuple:
+    """Entry triples, grouped by row and by column within it, deduplicated up to sign.
+
+    Each row is scaled to +1 sign at its minimal column and padded into one
+    key of interleaved (column, value) pairs; the distinct keys come out in
+    the canonical row order of ``_consequence_rows``: by descending last
+    column, then by key.
+    """
+    heads = np.flatnonzero(np.diff(owner, prepend=-1))
+    lengths = np.diff(np.append(heads, len(owner)))
+    val = val * np.sign(val[heads]).repeat(lengths)
+    position = np.arange(len(owner)) - heads.repeat(lengths)
+    keys = np.full((len(heads), 2 * int(lengths.max(initial=0))), -1, dtype=np.int64)
+    row = np.arange(len(heads)).repeat(lengths)
+    keys[row, 2 * position] = col
+    keys[row, 2 * position + 1] = val
+    keys = np.unique(keys, axis=0)
+    width = (keys[:, 0::2] >= 0).sum(1)
+    keys = keys[np.argsort(-keys[np.arange(len(keys)), 2 * width - 2], kind="stable")]
+    present = keys[:, 0::2] >= 0
+    return (np.arange(len(keys)).repeat(present.sum(1)), keys[:, 0::2][present],
+            keys[:, 1::2][present])
+
+
+@cache
+def _level(labels: tuple) -> _Level:
+    """The certified quotient over a standardised label tuple, built on its lower levels.
+
+    For U the labels, the T-ideal part splits at the root:
+    I(U) = sum over S + T = U of (I(S) F(T) + F(S) I(T)) + R(U), where R(U)
+    is spanned by the generators g(u1, u2, u3) at the root, one u_i per
+    block of an ordered split of U into three nonempty blocks; a
+    consequence inside a nontrivial context lies in the first sum, and so
+    does g with any u_i in I.  Hence A(U) is the direct sum of the
+    A(L) (x) A(U - L) modulo the images of g(u1, u2, u3) over basis
+    elements u_i, each term's inner product u_a u_b taken to its normal
+    form at the lower level.  Those images are the rows, built with one
+    gather per distinct generator term over every split at once, summed,
+    deduplicated up to sign and certified by ``_certified_form``: a level
+    stands only on certified lower levels, and its normal forms serve the
+    levels above it.  Memoised per label tuple; A(S) depends only on the
+    content of S, up to the monotone relabelling.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    if len(labels) == 1:
+        return _Level(1, {}, empty, empty, empty)
+    proper = list(_sub_multisets(labels))[:-1]
+    dims = {sub: _level(_standardised(sub)[0]).dim for sub in proper}
+    offsets, ncols = {}, 0
+    for sub in proper:
+        offsets[sub] = ncols
+        ncols += dims[sub] * dims[_without(labels, sub)]
+
+    first: dict = {}  # inner level -> its first column in the joint normal-form table
+    joint = 0
+    # per split: the block dimensions; per split and term: the inner product u_x u_y is
+    # joint column base + a_x * step_x + a_y, and entry e of its normal form lands on
+    # column outer + e * step_e + a_z * step_z
+    split_dims, gathers = [], []
+    for b1 in proper:
+        rest1 = _without(labels, b1)
+        for b2 in list(_sub_multisets(rest1))[:-1]:
+            blocks = (b1, b2, _without(rest1, b2))
+            split_dims.append([dims[b] for b in blocks])
+            for x, y, z, right in _root_terms()[0]:
+                inner = tuple(sorted(blocks[x] + blocks[y]))
+                if right:
+                    outer, step_e, step_z = offsets[blocks[z]], 1, dims[inner]
+                else:
+                    outer, step_e, step_z = offsets[inner], dims[blocks[z]], 1
+                standard, distinct = _standardised(inner)
+                if standard not in first:
+                    first[standard] = joint
+                    joint += len(_level(standard).counts)
+                base = first[standard] + _level(standard).offsets[
+                    tuple(distinct.index(label) + 1 for label in blocks[x])]
+                gathers.append((base, dims[blocks[y]], outer, step_e, step_z))
+    rows = (empty,) * 3
+    if split_dims:
+        rows = _distinct_rows(*_root_rows([_level(s) for s in first], ncols,
+                                          np.array(split_dims), np.array(gathers)))
+    pivot, (owner, tail, lifted) = _certified_form(rows, ncols)
+    index = np.cumsum(~pivot) - 1  # the basis index of each free column
+    free = np.flatnonzero(~pivot)
+    column = np.concatenate([free, owner])
+    order = np.argsort(column, kind="stable")
+    return _Level(len(free), offsets, np.bincount(column, minlength=ncols),
+                  np.concatenate([index[free], index[tail]])[order],
+                  np.concatenate([np.ones(len(free), dtype=np.int64), -lifted])[order])
+
+
+@cache
+def _root_terms() -> tuple:
+    """The generators' distinct terms as (x, y, z, right), and each generator's terms by index.
+
+    A term is u_z (u_x u_y) if ``right``, else (u_x u_y) u_z, with x, y, z
+    the 0-based blocks of a split; the inner product is always u_x u_y.
+    """
+    terms = list(dict.fromkeys(term for terms in _generator_terms() for term in terms))
+    roles = tuple((j, k, i, True) if isinstance(_templates(3)[shape][0], int) else (i, j, k, False)
+                  for shape, (i, j, k) in terms)
+    return roles, tuple(tuple(map(terms.index, g)) for g in _generator_terms())
+
+
+def _root_rows(inner: list, ncols: int, split_dims: np.ndarray, gathers: np.ndarray) -> tuple:
+    """The root rows g(u1, u2, u3) of one level as summed entry triples, grouped by row.
+
+    ``inner`` lists the lower levels whose normal forms the terms use, their
+    tables joined in that order; ``split_dims`` is (splits, 3) and
+    ``gathers`` (splits * terms, 5), split-major over ``_root_terms``, as
+    ``_level`` builds them.  Every (split, a1, a2, a3) is one triple, one
+    gather per term over all of them; generator g's row for triple t is
+    g * triples + t.  Equal entries of a row are summed and zeros dropped.
+    """
+    roles, generators = _root_terms()
+    counts = np.concatenate([level.counts for level in inner])
+    starts = np.cumsum(counts) - counts
+    basis = np.concatenate([level.basis for level in inner])
+    coefs = np.concatenate([level.coefs for level in inner])
+    sizes = split_dims.prod(1)
+    split = np.arange(len(sizes)).repeat(sizes)
+    rest = np.arange(len(split)) - (np.cumsum(sizes) - sizes)[split]
+    a = []
+    for d in split_dims[split, ::-1].T:  # a3, a2, a1
+        rest, digit = np.divmod(rest, d)
+        a.insert(0, digit)
+    gathers = gathers.reshape(len(sizes), len(roles), 5)[split]
+    entries = []
+    for t, (x, y, z, _) in enumerate(roles):
+        base, step_x, outer, step_e, step_z = gathers[:, t].T
+        joint = base + a[x] * step_x + a[y]
+        length = counts[joint]
+        at = np.repeat(starts[joint] - np.cumsum(length) + length, length) + np.arange(length.sum())
+        entries.append((np.arange(len(split)).repeat(length),
+                        np.repeat(outer + a[z] * step_z, length) + basis[at] * step_e.repeat(length),
+                        coefs[at]))
+    row, col, val = [], [], []
+    for g, generator in enumerate(generators):
+        for sign, t in zip(SIGNS, generator):
+            triple, c, v = entries[t]
+            row.append(triple + g * len(split))
+            col.append(c)
+            val.append(sign * v)
+    key = np.concatenate(row) * ncols + np.concatenate(col)
+    order = np.argsort(key)
+    key = key[order]
+    heads = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = np.add.reduceat(np.concatenate(val)[order], heads)
+    keep = sums != 0
+    key = key[heads][keep]
+    return key // ncols, key % ncols, sums[keep]
 
 
 @cache
@@ -725,23 +926,24 @@ def quotient_basis(n: int) -> QuotientBasis:
     return QuotientBasis(n=len(content), monomials=basis, rewrite_map=rewrite_map)
 
 
-def _certified_dim(content: tuple[int, ...]) -> int:
-    """Quotient dimension of one component: its columns less its certified rank over Q."""
-    ncols, _, pivot, _ = _system(content)
-    return ncols - int(pivot.sum())
-
-
 def quotient_dim(n: int) -> int:
     """Dimension of the multilinear quotient P_n / (P_n . T-ideal part).
 
-    The component of content (1, ..., 1), certified over Q like every other.
+    The brute-force component of content (1, ..., 1): its columns less its
+    certified rank over Q.
     """
-    return _certified_dim(_multilinear(n))
+    ncols, _, pivot, _ = _system(_multilinear(n))
+    return ncols - int(pivot.sum())
 
 
 def quotient_dim_multigraded(content) -> int:
-    """Dimension of the component with the given positive multidegree, like ``quotient_dim``."""
-    return _certified_dim(_component(content)[0])
+    """Dimension of the component with the given positive multidegree, level by level.
+
+    Built by ``_level`` from the certified quotients of its sub-contents, not
+    in the absolutely free algebra; the content passes the same column guard
+    as the brute force.
+    """
+    return _level(_content_labels(_component(content)[0])).dim
 
 
 # ---------------------------------------------------------------------------

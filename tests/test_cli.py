@@ -309,7 +309,7 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
 @pytest.fixture
 def fresh_oracle_caches():
     """Empty the certified-system caches before and after, so a patched prime is used."""
-    caches = (oracle._system, oracle.quotient_basis)
+    caches = (oracle._system, oracle._level, oracle.quotient_basis)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -367,6 +367,42 @@ def test_verify_dump_matrix(capsys, tmp_path):
     lines = target.read_text().splitlines()
     assert lines[0] == "12 12"
     assert len(lines) == 49
+
+
+def test_verify_dump_matrix_streams_to_the_pinned_file(capsys, tmp_path):
+    target = tmp_path / "d5.txt"
+    target.write_bytes(b"an older dump\n")
+    code, _, _ = run_cli(capsys, "verify", "--n", "5", "--dump-matrix", str(target))
+    assert code == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "bf104bad019b0f04d12644453c9747e7a70fa0c2891472085e13549d7dd35d3d"
+    assert os.listdir(tmp_path) == ["d5.txt"]  # no temporary file left beside it
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask  # the mode of a new file
+
+
+def test_verify_dump_matrix_failing_part_way_leaves_files_alone(capsys, tmp_path, monkeypatch):
+    write = oracle.write_consequence_matrix
+
+    class Failing(io.StringIO):
+        def write(self, text):
+            self.sink.write(text)
+            raise OSError("disk full")
+
+    def failing(n, stream):
+        out = Failing()
+        out.sink = stream
+        write(n, out)
+
+    monkeypatch.setattr(cli.oracle, "write_consequence_matrix", failing)
+    existing, new = tmp_path / "existing.txt", tmp_path / "new.txt"
+    existing.write_bytes(b"keep me\n")
+    for target in (existing, new):
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--dump-matrix", str(target))
+        assert (code, out, err) == (1, "", "assosym: error: disk full\n")
+    assert existing.read_bytes() == b"keep me\n"
+    assert os.listdir(tmp_path) == ["existing.txt"]  # no new file, no temporary file
 
 
 @pytest.mark.parametrize("n", ["7", "0"])

@@ -506,19 +506,38 @@ def test_certificate_holds_at_the_largest_prime():
     assert _spans(rows, pivot, (owner, col, _lift(val, p)))
 
 
+def test_oversized_lifted_entry_is_refused(monkeypatch):
+    ncols, rows, pivot, (owner, col, val) = _system((1,) * 4)
+    assert _spans(rows, pivot, (owner, col, val))
+    at = np.flatnonzero(owner == owner[0])[-1]  # a free column: tails lie right of the pivot
+    # rows of four +-1 entries: a lifted entry of 2^38 could make a residual of 2^40 + 1
+    for entry in (2**38, -(2**38)):
+        big = val.copy()
+        big[at] = entry
+        assert not _spans(rows, pivot, (owner, col, big))
+    # congruent to the true entries mod 2^40, so only the bound refuses it
+    lift = oracle._lift
+    monkeypatch.setattr(oracle, "_lift", lambda values, p: lift(values, p) + (1 << 40))
+    with pytest.raises(RankMismatchError,
+                       match=f"^the echelon form mod {DEFAULT_PRIME} does not lift to one over Q$"):
+        oracle._certified_form(rows, ncols)
+
+
 def test_unliftable_default_prime_raises(monkeypatch):
     _system.cache_clear()
+    oracle._level.cache_clear()
     monkeypatch.setattr(oracle, "DEFAULT_PRIME", 7)
     try:
         with pytest.raises(RankMismatchError, match="does not lift"):
             quotient_dim_multigraded((2, 2, 1))
     finally:
         _system.cache_clear()
+        oracle._level.cache_clear()
 
 
 @pytest.mark.parametrize("call, arg", [
     (quotient_dim, 5),
-    (quotient_dim_multigraded, (4, 1, 1)),  # degree 6: certified like the rest
+    (quotient_dim_multigraded, (4, 1, 1)),  # degree 6: one elimination per level
 ])
 def test_one_elimination_per_content_and_prime(monkeypatch, call, arg):
     counts = {"_echelon": 0, "_lift": 0}
@@ -533,12 +552,21 @@ def test_one_elimination_per_content_and_prime(monkeypatch, call, arg):
 
     for name in counts:
         monkeypatch.setattr(oracle, name, counted(name))
+    eliminations = 1  # one brute-force content
+    if call is quotient_dim_multigraded:  # one per level of two or more labels
+        eliminations = len({oracle._standardised(sub)[0]
+                            for sub in _sub_multisets(_content_labels(arg)) if len(sub) > 1})
+        assert eliminations == 11  # 2, 3, 3 and 2 label tuples of 2..5 labels, and 4,1,1
     _system.cache_clear()
+    oracle._level.cache_clear()
     try:
         call(arg)
+        assert counts == {"_echelon": eliminations, "_lift": eliminations}
+        call(arg)  # memoised: neither eliminated nor lifted again
     finally:
         _system.cache_clear()
-    assert counts == {"_echelon": 1, "_lift": 1}
+        oracle._level.cache_clear()
+    assert counts == {"_echelon": eliminations, "_lift": eliminations}
 
 
 def test_consequence_span_guard():
@@ -650,6 +678,28 @@ def test_quotient_dim_multigraded_matches_formula_small():
 @pytest.mark.parametrize("content", [(6,), (5, 1), (4, 2), (3, 3), (4, 1, 1)])
 def test_quotient_dim_multigraded_matches_formula_degree_6(content):
     assert quotient_dim_multigraded(content) == multigraded_dim(content)
+
+
+def test_recursive_dims_equal_the_brute_force():
+    contents = [c for total in range(1, 6) for c in positive_contents(total)]
+    assert len(contents) == 31
+    for content in contents + [(3, 2, 1), (2, 2, 2), (4, 1, 1)]:
+        ncols, _, pivot, _ = _system(content)
+        assert quotient_dim_multigraded(content) == ncols - pivot.sum(), content
+
+
+def test_multilinear_dims_by_two_certified_methods():
+    for n in range(1, 6):
+        assert quotient_dim(n) == quotient_dim_multigraded((1,) * n) == codimension(n)
+
+
+def test_recursive_levels_are_memoised_per_standardised_labels():
+    level = oracle._level(_content_labels((2, 1)))
+    # columns x(xy), x(yx), y(xx), (xx)y, (xy)x, (yx)x: sub-multisets x, y, xx, xy
+    assert level.offsets == {(1,): 0, (2,): 2, (1, 1): 3, (1, 2): 4}
+    assert (level.dim, len(level.counts)) == (4, 6)
+    assert oracle._level(oracle._standardised((3, 3, 7))[0]) is level  # renumbered 1, 1, 2
+    assert (level.basis < level.dim).all() and level.counts.sum() == len(level.coefs)
 
 
 def test_label_major_order_sorts_by_labels_then_shape():
