@@ -1,7 +1,7 @@
 """Module structure of free assosymmetric algebras, exactly.
 
 Dimension formulas, S_n / A_n / GL decompositions, cocharacter, codimension
-and colength sequences, plus a brute-force T-ideal oracle that re-derives
+and colength sequences, plus a certified T-ideal oracle that re-derives
 the small-degree numbers from the defining identities alone.
 """
 

@@ -16,9 +16,9 @@ from math import factorial
 
 from .characters import (
     CharacterVector,
+    _character_of,
     _merge_conjugate_pairs,
     involution_count,
-    irreducible_character,
     restrict_to_alternating,
 )
 from .decomposition import GROUP_GENERAL_LINEAR, GROUP_SYMMETRIC, Decomposition, Label
@@ -145,12 +145,7 @@ def cocharacter(n: int) -> CharacterVector:
     """S_n-character of P_n, exact values in canonical cycle-type order."""
     if not 1 <= n <= 10:
         raise ValueError("cocharacter is limited to 1 <= n <= 10 (character table guard)")
-    values = [0] * len(generate_partitions(n))
-    for label, mult in sn_decomposition(n).terms.items():
-        row = irreducible_character(label.partition)
-        for i, v in enumerate(row.values):
-            values[i] += mult * v
-    return CharacterVector(n, tuple(values))
+    return _character_of(sn_decomposition(n))
 
 
 def colength(n: int) -> int:

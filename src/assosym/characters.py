@@ -118,6 +118,15 @@ def irreducible_character(lam: Partition) -> CharacterVector:
     return CharacterVector(n, tuple(_mn(lam, mu) for mu in generate_partitions(n)))
 
 
+def _character_of(dec: Decomposition) -> CharacterVector:
+    """The character of a symmetric-group decomposition: the sum of mult * chi_lambda."""
+    values = [0] * len(generate_partitions(dec.n))
+    for label, mult in dec.terms.items():
+        for i, v in enumerate(irreducible_character(label.partition).values):
+            values[i] += mult * v
+    return CharacterVector(dec.n, tuple(values))
+
+
 def inner_product(phi: CharacterVector, psi: CharacterVector) -> Fraction:
     """(1/n!) sum over classes of |class| * phi * psi, as an exact rational."""
     if phi.n != psi.n:

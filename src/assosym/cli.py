@@ -328,10 +328,11 @@ def build_parser(default_format: str | None) -> _Parser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="T-ideal oracle check against the formulas",
-                       description="T-ideal oracle check against the formulas: --n by brute "
-                       "force, --multidegree level by level.  Every rank is taken modulo "
-                       "2^31 - 1 and certified over Q; a form that does not lift is a "
-                       "failed check.")
+                       description="T-ideal oracle check against the formulas, built level "
+                       "by level from the quotients of smaller contents; --n takes its S_n "
+                       "multiplicities from the level dimensions by Kostka inversion.  Every "
+                       "rank is taken modulo 2^31 - 1 and certified over Q; a form that does "
+                       "not lift is a failed check.")
     p.add_argument("--n", type=int)
     p.add_argument("--multidegree", metavar="L1,L2,...")
     p.add_argument("--allow-n6", action="store_true",

@@ -1,4 +1,4 @@
-"""Ground-truth verification inside the absolutely free algebra, by brute force or level by level.
+"""Ground-truth verification from the defining identities: level by level, brute force as reference.
 
 A component of content (l_1, ..., l_r) is spanned by all planar binary trees
 whose leaves read the label multiset 1^l_1 ... r^l_r.  The multilinear part
@@ -21,26 +21,31 @@ So the span gives each consequence as its four columns and marks those that
 vanish; ``_span`` asserts that nothing else happens.
 
 Two system builders share one elimination kernel and one certificate, all
-on numpy entry arrays.  The brute force, ``_system``, takes one span
-enumerator's consequences as deduplicated rows in one canonical row order
-over label-major columns; it serves ``quotient_dim``, the quotient basis,
-the matrix dump and the span functions.  The recursive ``_level`` serves
-``quotient_dim_multigraded``: A(U) is the sum of A(L) (x) A(U - L) over the
-splits of the labels U at the root, modulo the generators applied at the
-root to basis elements of the lower levels, whose certified normal forms
-rewrite each inner product.  Its columns are those products, 444 against
-2520 at content 3,2,1.  The kernel computes the reduced echelon form over
-GF(p) (block Gauss-Jordan, p a prime below 2^31.5); its number of pivots is
-the rank mod p.  The reduced form at DEFAULT_PRIME, once per content or
-level, is lifted to symmetric residues and checked exactly: every row must
-be the integer combination of the lifted rows at its pivot columns, mod
-2^40 under a bound taken from the data.  That proves rank over Q <= rank
-mod p, and rank mod p <= rank over Q always holds, so the lifted rows are
-the unique reduced echelon form over Q and their number is both ranks.  A
-reduced form that does not lift raises RankMismatchError instead of a wrong
-answer.  One guard bounds every component by its brute-force column count,
-MAX_COLUMNS.  The reduced rows give a rewriting map into a quotient basis,
-the free columns, and from it traces of the symmetric-group action.
+on numpy entry arrays.  The recursive ``_level`` gives every number that
+``verify`` prints: A(U) is the sum of A(L) (x) A(U - L) over the splits of
+the labels U at the root, modulo the generators applied at the root to
+basis elements of the lower levels, whose certified normal forms rewrite
+each inner product.  Its columns are those products, 444 against 2520 at
+content 3,2,1.  ``quotient_dim`` is the level of content 1^n and
+``quotient_dim_multigraded`` that of its content; ``oracle_multiplicities``
+inverts the unitriangular Kostka matrix on the levels of the contents
+mu of n (Schur-Weyl: dim A(mu) = sum of m_lambda * K_{lambda,mu}), and
+``quotient_character`` sums the irreducible characters they count.  The
+brute force, ``_system``, takes one span enumerator's consequences as
+deduplicated rows in one canonical row order over label-major columns, in
+the absolutely free algebra; it serves ``quotient_basis`` and is the
+reference the tests compare the levels against.  The kernel computes the
+reduced echelon form over GF(p), p = DEFAULT_PRIME (block Gauss-Jordan);
+its number of pivots is the rank mod p.  The reduced form, once per level
+or content, is lifted to symmetric residues and checked exactly: every row
+must be the integer combination of the lifted rows at its pivot columns,
+mod 2^40 under a bound taken from the data.  That proves rank over Q <=
+rank mod p, and rank mod p <= rank over Q always holds, so the lifted rows
+are the unique reduced echelon form over Q and their number is both ranks.
+A reduced form that does not lift raises RankMismatchError instead of a
+wrong answer.  One guard bounds every component by its brute-force column
+count, MAX_COLUMNS.  The brute force's reduced rows give a rewriting map
+into a quotient basis, its free columns.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
@@ -58,26 +63,27 @@ one step.  The matrix dump formats that array a fixed number of rows at a
 time; only the public span functions and the quotient basis turn indices
 into monomials.
 
-The elimination alone orders its columns label-major: column a * S + s, by
-label sequence, then tree shape.  Every consequence row has four +-1 terms,
-two label sequences under two tree shapes each, so this order puts the two
-shapes of each label sequence side by side and the column sweep creates far
-less fill-in.  ``_to_label_major`` is that map, applied once to the span's
-column array where the rows are built; the quotient basis names its columns
-through it.  Everything is sequential and deterministic: fixed generation,
-row and column order, no randomness, no threads.
+The brute-force elimination orders its columns label-major: column
+a * S + s, by label sequence, then tree shape.  Every consequence row has
+four +-1 terms, two label sequences under two tree shapes each, so this
+order puts the two shapes of each label sequence side by side and the
+column sweep creates far less fill-in.  ``_to_label_major`` is that map,
+applied once to the span's column array where the rows are built; the
+quotient basis names its columns through it.  Everything is sequential and
+deterministic: fixed generation, row and column order, no randomness, no
+threads.
 """
 
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, repeat
-from math import comb, isqrt, prod
+from math import comb, prod
 
 import numpy as np
 
-from .characters import CharacterVector, inner_product, irreducible_character
+from .characters import CharacterVector, _character_of
 from .decomposition import GROUP_SYMMETRIC, Decomposition, Label
-from .partitions import _integers, generate_partitions
+from .partitions import _integers, _kostka, generate_partitions
 
 DEFAULT_PRIME = 2**31 - 1  # Mersenne; any prime below 2^31.5 keeps int64 exact
 MAX_COLUMNS = 30240  # the 1^6 component: 42 tree shapes times 720 arrangements
@@ -91,7 +97,7 @@ class RankMismatchError(RuntimeError):
 
 
 class MultiplicityError(RuntimeError):
-    """A character inner product came out negative or non-integral."""
+    """A multiplicity came out negative: the level dimensions contradict Schur-Weyl duality."""
 
 
 # ---------------------------------------------------------------------------
@@ -468,38 +474,14 @@ def consequence_span_multigraded(content) -> list[dict]:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def _consequence_rows(cols: np.ndarray) -> tuple:
-    """Nonzero consequences, an (m, 4) int64 column array, as rows, deduplicated.
+def _sorted_terms(cols: np.ndarray) -> tuple:
+    """Consequences, an (m, 4) column array, as flat (column, sign) arrays sorted within each row.
 
-    Row i of ``cols`` holds one consequence's columns, coefficients SIGNS,
-    in either column order.  Each row is sorted by column, its signs carried
-    along and flipped to +1 at the minimal column: rows equal up to sign
-    collapse to one key, the interleaved (column, value) pairs.  Keys come
-    out in one canonical order, by descending last column and then by key:
-    neither the rank nor the reduced echelon form depends on row order, but
-    this one keeps the elimination sweeps small.  The result is one (row,
-    column, value) triple of int64 entry arrays, row i the i-th key, its
-    entries by column.
+    Row i of ``cols`` holds one consequence's columns, coefficients SIGNS;
+    its four entries come out by column, their signs carried along.
     """
     order = np.argsort(cols, axis=1)
-    signs = np.array(SIGNS)[order]
-    signs *= signs[:, :1]
-    keys = np.stack([np.take_along_axis(cols, order, axis=1), signs], axis=2).reshape(-1, 8)
-    keys = np.unique(keys, axis=0)
-    keys = keys[np.argsort(-keys[:, -2], kind="stable")]
-    return np.arange(len(keys)).repeat(4), keys[:, 0::2].ravel(), keys[:, 1::2].ravel()
-
-
-@cache
-def _check_modulus(p: int) -> None:
-    """Reject a modulus that is not a prime with (p-1)^2 inside int64.
-
-    Proven once per modulus; ``cache`` keeps no exceptions, so a rejection recurs.
-    """
-    if p <= 2 or (p - 1) ** 2 >= 2**63:
-        raise ValueError("prime must exceed 2 and keep (p-1)^2 inside int64")
-    if p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
-        raise ValueError(f"modulus {p} is not prime")
+    return np.take_along_axis(cols, order, axis=1).ravel(), np.array(SIGNS)[order].ravel()
 
 
 _CHUNK_ROWS = 512  # rows per dense block; the result depends on neither constant
@@ -516,8 +498,8 @@ def _substitute(rows: tuple, replaced: np.ndarray, by: tuple, ncols: int, p: int
     expanded a run of whole rows at a time, so no run exceeds
     ``_EXPANSION_ENTRIES`` entries unless a single row does.  Every term is
     reduced mod p before it is summed, and a sum has at most one term per
-    entry of its row, so the sums stay far inside int64 for every p that
-    ``_check_modulus`` accepts.
+    entry of its row, so the sums stay far inside int64 for every p below
+    2^31.5 and for the certificate's 2^40.
     """
     owner, col, val = rows
     if not len(owner):
@@ -585,8 +567,8 @@ def _gauss_jordan(mat: np.ndarray, p: int) -> np.ndarray:
     return np.array(found)
 
 
-def _echelon(rows: tuple, ncols: int, p: int) -> tuple:
-    """The reduced echelon form over GF(p) as (pivot mask, reduced rows).
+def _echelon(rows: tuple, ncols: int) -> tuple:
+    """The reduced echelon form over GF(p), p = DEFAULT_PRIME, as (pivot mask, reduced rows).
 
     The one elimination kernel, on (row, column, value) entry triples grouped
     by row.  The reduced rows are (pivot, column, value) arrays grouped by
@@ -609,7 +591,7 @@ def _echelon(rows: tuple, ncols: int, p: int) -> tuple:
     the two tree shapes of each label sequence in a row side by side, which
     keeps the tails short.  Sequential and deterministic.
     """
-    _check_modulus(p)
+    p = DEFAULT_PRIME
     owner, col, val = rows
     pivot = np.zeros(ncols, dtype=bool)
     cache = (np.zeros(0, dtype=np.int32),) * 2 + (np.zeros(0, dtype=np.int64),)
@@ -682,7 +664,7 @@ def _certified_form(rows: tuple, ncols: int) -> tuple:
     and the lifted rows, integral, are the unique reduced echelon form over Q.
     """
     p = DEFAULT_PRIME
-    pivot, (owner, col, val) = _echelon(rows, ncols, p)
+    pivot, (owner, col, val) = _echelon(rows, ncols)
     lifted = (owner, col, _lift(val, p))
     if not _spans(rows, pivot, lifted):
         raise RankMismatchError(f"the echelon form mod {p} does not lift to one over Q")
@@ -723,18 +705,20 @@ class QuotientBasis:
 
 @cache
 def _system(content: tuple[int, ...]) -> tuple:
-    """(column count, rows, pivot mask, lifted rows) of a component: the one builder.
+    """(column count, rows, pivot mask, lifted rows) of a component, by brute force.
 
-    The canonical span becomes one (m, 4) column array, mapped label-major
-    by ``_to_label_major`` before the rows are built in the canonical row
-    order.  The reduced form mod DEFAULT_PRIME is lifted and kept only if it
-    spans every row over Z; its number of pivots is then the rank over Q and
-    mod p.  Built once per content, shared read-only by rank and basis code.
+    The component in the absolutely free algebra: the canonical span becomes
+    one (m, 4) column array, mapped label-major by ``_to_label_major``; each
+    row is sorted by column and the rows are deduplicated up to sign in the
+    canonical row order of ``_distinct_rows``.  ``_certified_form`` gives the
+    reduced form over Q.  It serves ``quotient_basis`` and is the reference
+    that the tests compare the levels against.  Built once per content.
     """
     labels = _content_labels(content)
     ncols = _shape_count(len(labels)) * len(_arrangements(labels))
     cols, vanishing = _span(labels)
-    rows = _consequence_rows(_to_label_major(cols[~vanishing], labels))
+    cols = _to_label_major(cols[~vanishing], labels)
+    rows = _distinct_rows(np.arange(len(cols)).repeat(4), *_sorted_terms(cols))
     return (ncols, rows, *_certified_form(rows, ncols))
 
 
@@ -763,8 +747,11 @@ def _distinct_rows(owner: np.ndarray, col: np.ndarray, val: np.ndarray) -> tuple
 
     Each row is scaled to +1 sign at its minimal column and padded into one
     key of interleaved (column, value) pairs; the distinct keys come out in
-    the canonical row order of ``_consequence_rows``: by descending last
-    column, then by key.
+    one canonical row order, by descending last column and then by key:
+    neither the rank nor the reduced echelon form depends on row order, but
+    this one keeps the elimination sweeps small.  The result is one (row,
+    column, value) triple of int64 entry arrays, row i the i-th key, its
+    entries by column.
     """
     heads = np.flatnonzero(np.diff(owner, prepend=-1))
     lengths = np.diff(np.append(heads, len(owner)))
@@ -929,11 +916,10 @@ def quotient_basis(n: int) -> QuotientBasis:
 def quotient_dim(n: int) -> int:
     """Dimension of the multilinear quotient P_n / (P_n . T-ideal part).
 
-    The brute-force component of content (1, ..., 1): its columns less its
-    certified rank over Q.
+    The certified level of content (1, ..., 1), built by ``_level`` from the
+    quotients of its sub-contents.
     """
-    ncols, _, pivot, _ = _system(_multilinear(n))
-    return ncols - int(pivot.sum())
+    return _level(_content_labels(_multilinear(n))).dim
 
 
 def quotient_dim_multigraded(content) -> int:
@@ -947,49 +933,35 @@ def quotient_dim_multigraded(content) -> int:
 
 
 # ---------------------------------------------------------------------------
-# characters of the quotient
+# the symmetric-group module
 
-def class_representative(mu) -> tuple[int, ...]:
-    """One permutation of cycle type mu: consecutive cycles on 1..n."""
-    n = sum(mu)
-    images = list(range(n + 1))
-    start = 1
-    for k in mu:
-        for i in range(start, start + k - 1):
-            images[i] = i + 1
-        images[start + k - 1] = start
-        start += k
-    return tuple(images[1:])
+def oracle_multiplicities(n: int) -> Decomposition:
+    """The S_n multiplicities m_lambda of the degree-n quotient, from level dimensions.
 
-
-def permutation_trace(n: int, images: tuple[int, ...]) -> int:
-    """Trace of a permutation acting on the degree-n quotient."""
-    qb = quotient_basis(n)
-    return sum(qb.rewrite(relabel(b, images)).get(b, 0) for b in qb.monomials)
+    Schur-Weyl duality gives dim A(mu) = sum over lambda of m_lambda * K_{lambda,mu}
+    for every content mu of n, and the Kostka matrix K is unitriangular in
+    dominance order, which the reverse-lexicographic order of
+    ``generate_partitions`` extends: m_mu is dim A(mu) less the terms of the
+    partitions before mu.  The dimensions are certified levels, so every
+    m_mu is an exact integer; a negative one raises MultiplicityError.
+    """
+    n = len(_multilinear(n))  # before the partitions of n are listed
+    terms: dict[Label, int] = {}
+    for mu in generate_partitions(n):
+        mult = _level(_content_labels(mu)).dim - sum(
+            m * _kostka(label.partition, mu) for label, m in terms.items())
+        if mult < 0:
+            raise MultiplicityError(
+                f"multiplicity of {mu} is {mult}, not a non-negative integer"
+            )
+        if mult:
+            terms[Label(mu)] = mult
+    return Decomposition(n, GROUP_SYMMETRIC, terms)
 
 
 def quotient_character(n: int) -> CharacterVector:
-    """Exact character of the quotient, one trace per cycle type."""
-    n = len(_multilinear(n))  # before the partitions of n are listed
-    return CharacterVector(n, tuple(
-        permutation_trace(n, class_representative(mu)) for mu in generate_partitions(n)
-    ))
-
-
-def oracle_multiplicities(n: int) -> Decomposition:
-    """Decomposition recovered from the quotient character by inner products."""
-    chi = quotient_character(n)
-    n = chi.n
-    terms: dict[Label, int] = {}
-    for lam in generate_partitions(n):
-        mult = inner_product(chi, irreducible_character(lam))
-        if mult.denominator != 1 or mult < 0:
-            raise MultiplicityError(
-                f"multiplicity of {lam} is {mult}, not a non-negative integer"
-            )
-        if mult:
-            terms[Label(lam)] = int(mult)
-    return Decomposition(n, GROUP_SYMMETRIC, terms)
+    """Exact character of the quotient: the sum of m_lambda * chi_lambda."""
+    return _character_of(oracle_multiplicities(n))
 
 
 _DUMP_ROWS = 2048  # consequences per formatted chunk: bounds the text held at once
@@ -1008,7 +980,5 @@ def write_consequence_matrix(n: int, stream) -> None:
     stream.write(f"{len(cols)} {_shape_count(len(labels)) * len(_arrangements(labels))}\n")
     for lo in range(0, len(cols), _DUMP_ROWS):
         rows = lo + np.flatnonzero(~vanishing[lo:lo + _DUMP_ROWS])
-        order = np.argsort(cols[rows], axis=1)
-        entries = np.stack([rows.repeat(4), np.take_along_axis(cols[rows], order, axis=1).ravel(),
-                            np.array(SIGNS)[order].ravel()], axis=1)
+        entries = np.stack([rows.repeat(4), *_sorted_terms(cols[rows])], axis=1)
         stream.write("%d %d %d/1\n" * len(entries) % tuple(entries.ravel().tolist()))

@@ -9,7 +9,7 @@ the underscored helpers they call take it as already validated.
 """
 
 from functools import cache, lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, factorial, prod
 from operator import ge
 
@@ -171,6 +171,24 @@ def two_row_partitions(n: int) -> list[Partition]:
     for lam2 in range(n // 2 + 1):
         out.append((n,) if lam2 == 0 else (n - lam2, lam2))
     return out
+
+
+@cache
+def _kostka(lam: Partition, weight: Partition) -> int:
+    """K_{lam,weight}: the semistandard tableaux of shape lam and content weight.
+
+    The cells holding the largest entry form a horizontal strip: peel it off,
+    over every shape nu that interlaces lam (lam[i+1] <= nu[i] <= lam[i]).
+    """
+    if not weight:
+        return int(not lam)
+    *rest, last = weight
+    bounds = zip(lam, (*lam[1:], 0))
+    return sum(
+        _kostka(tuple(x for x in nu if x), tuple(rest))
+        for nu in product(*(range(low, high + 1) for high, low in bounds))
+        if sum(lam) - sum(nu) == last
+    )
 
 
 def multinomial(ls) -> int:

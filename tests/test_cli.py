@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -358,6 +359,41 @@ def test_verify_unlucky_prime_still_runs_the_multiplicity_check(
         {"name": f"{name}, degree 4", "expected": expected, "actual": message, "pass": False}
         for name, expected in [("quotient dimension", "29"),
                                ("irreducible multiplicities", sn_decomposition(4).render())]]
+
+
+def test_verify_negative_multiplicity_is_a_failed_check_in_every_format(capsys, monkeypatch):
+    level = oracle._level
+    # dim A(2,1) = 1 < 2 * K_{(3),(2,1)}: the Kostka remainder for (2, 1) is 1 - 2
+    monkeypatch.setattr(oracle, "_level", lambda labels: replace(level(labels), dim=1)
+                        if labels == (1, 1, 2) else level(labels))
+    argv = ("verify", "--n", "3")
+    name = "irreducible multiplicities, degree 3"
+    expected = sn_decomposition(3).render()
+    message = "MultiplicityError: multiplicity of (2, 1) is -1, not a non-negative integer"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (2, "")
+    assert out == (f"PASS: quotient dimension, degree 3: 7 = 7\n"
+                   f"FAIL: {name}: computed {message}, expected {expected}\n")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out) == {
+        "checks": [{"name": "quotient dimension, degree 3", "expected": "7", "actual": "7",
+                    "pass": True},
+                   {"name": name, "expected": expected, "actual": message, "pass": False}],
+        "all_pass": False}
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 2
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["check", "expected", "actual", "status"],
+        ["quotient dimension, degree 3", "7", "7", "pass"],
+        [name, expected, message, "fail"]]
+
+
+def test_verify_builds_no_brute_force_system(capsys, fresh_oracle_caches):
+    code, out, _ = run_cli(capsys, "verify", "--n", "5")
+    assert code == 0 and out.count("PASS") == 2
+    assert oracle._system.cache_info().currsize == 0
+    assert oracle._level.cache_info().currsize > 0
 
 
 def test_verify_dump_matrix(capsys, tmp_path):

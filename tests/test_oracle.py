@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
@@ -14,8 +15,8 @@ from assosym.decomposition import Label
 from assosym.oracle import (
     DEFAULT_PRIME,
     SIGNS,
+    MultiplicityError,
     RankMismatchError,
-    class_representative,
     consequence_span,
     consequence_span_multigraded,
     enumerate_multilinear,
@@ -24,7 +25,6 @@ from assosym.oracle import (
     monomial_key,
     monomials_with_labels,
     oracle_multiplicities,
-    permutation_trace,
     quotient_basis,
     quotient_character,
     quotient_dim,
@@ -32,10 +32,11 @@ from assosym.oracle import (
     relabel,
     shape_key,
     write_consequence_matrix,
-    _consequence_rows,
     _content_labels,
+    _distinct_rows,
     _echelon,
     _lift,
+    _sorted_terms,
     _span,
     _spans,
     _sub_multisets,
@@ -43,23 +44,6 @@ from assosym.oracle import (
     _to_label_major,
     _without,
 )
-from assosym.partitions import generate_partitions
-
-
-def cycle_type_of(images):
-    n = len(images)
-    seen = [False] * (n + 1)
-    lengths = []
-    for s in range(1, n + 1):
-        if seen[s]:
-            continue
-        k, i = 0, s
-        while not seen[i]:
-            seen[i] = True
-            i = images[i - 1]
-            k += 1
-        lengths.append(k)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def index_rows(elements, columns):
@@ -82,6 +66,11 @@ def span_elements(labels) -> list:
     """``_span(labels)`` as span elements: each row's four columns, or () where it vanishes."""
     cols, vanishing = _span(labels)
     return [() if zero else tuple(row) for row, zero in zip(cols.tolist(), vanishing.tolist())]
+
+
+def consequence_rows(cols: np.ndarray) -> tuple:
+    """An (m, 4) column array as ``_system`` turns it into rows: sorted, deduplicated up to sign."""
+    return _distinct_rows(np.arange(len(cols)).repeat(4), *_sorted_terms(cols))
 
 
 def span_columns(labels) -> np.ndarray:
@@ -199,7 +188,7 @@ def test_identity_generators_shape():
 def test_consequence_span_degree_3():
     span = consequence_span(3)
     assert len(span) == 12
-    rows = _consequence_rows(span_array(index_rows(span, label_major((1, 2, 3)))))
+    rows = consequence_rows(span_array(index_rows(span, label_major((1, 2, 3)))))
     assert as_rows(_system((1, 1, 1))[1]) == as_rows(rows)
     assert _system((1, 1, 1))[2].sum() == 5  # 12 ambient - 7 quotient
 
@@ -207,10 +196,10 @@ def test_consequence_span_degree_3():
 def test_consequence_span_degree_4_rank():
     span = consequence_span(4)
     columns = label_major((1, 2, 3, 4))
-    rows = _consequence_rows(span_array(index_rows(span, columns)))
+    rows = consequence_rows(span_array(index_rows(span, columns)))
     assert as_rows(_system((1,) * 4)[1]) == as_rows(rows)
     assert _system((1,) * 4)[2].sum() == 91  # 120 - 29
-    assert _echelon(rows, len(columns), 2**31 - 1)[0].sum() == 91
+    assert _echelon(rows, len(columns))[0].sum() == 91
 
 
 def test_multilinear_span_is_the_content_one_component():
@@ -301,13 +290,13 @@ def test_consequence_rows_match_the_generic_row_builder():
         labels = _content_labels(content)
         canonical = span_columns(labels)
         for cols in (canonical, _to_label_major(canonical, labels)):
-            got = _consequence_rows(cols)
+            got = consequence_rows(cols)
             want = reference_rows(dict(zip(elem, SIGNS)) for elem in cols.tolist())
             assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_consequence_rows_are_deduplicated_in_canonical_order():
-    rows = as_rows(_consequence_rows(span_columns((1, 2, 3, 4))))
+    rows = as_rows(consequence_rows(span_columns((1, 2, 3, 4))))
     keys = [tuple(sorted(row.items())) for row in rows]
     assert len(set(keys)) == len(keys) == 120  # 240 span elements, pairs collapse
     assert keys == sorted(keys, key=lambda key: (-key[-1][0], key))
@@ -315,13 +304,13 @@ def test_consequence_rows_are_deduplicated_in_canonical_order():
 
 
 def test_reduced_pivots_do_not_depend_on_row_order():
-    rows = _consequence_rows(span_columns((1, 2, 3, 4)))
+    rows = consequence_rows(span_columns((1, 2, 3, 4)))
     listed = as_rows(rows)
     shuffled = list(listed)
     random.Random(0).shuffle(shuffled)
     reduced = []
     for order in (listed, listed[::-1], shuffled):
-        pivot, (owner, col, val) = _echelon(entries(order), 120, DEFAULT_PRIME)
+        pivot, (owner, col, val) = _echelon(entries(order), 120)
         lifted = (owner, col, _lift(val, DEFAULT_PRIME))
         assert _spans(rows, pivot, lifted)
         reduced.append(form(pivot, lifted))
@@ -427,7 +416,7 @@ def test_kernel_matches_fraction_gauss_jordan_on_random_rows(monkeypatch, chunk,
         ncols, rows = 300, spanned_rows(seed, count, 2 * chunk)
     else:
         ncols, rows = 14, random_rows(seed, count, 14)
-    pivot, (owner, col, val) = _echelon(entries(rows), ncols, p)
+    pivot, (owner, col, val) = _echelon(entries(rows), ncols)
     lifted = form(pivot, (owner, col, _lift(val, p)))
     got = {c: {k: v % p for k, v in row.items()} for c, row in lifted.items()}
     want = {
@@ -452,7 +441,7 @@ def test_kernel_returns_the_reduced_form():
     p = DEFAULT_PRIME
     for content in contents:
         ncols, rows = _system(content)[:2]
-        pivot, (owner, col, val) = _echelon(rows, ncols, p)
+        pivot, (owner, col, val) = _echelon(rows, ncols)
         echelon = form(pivot, (owner, col, val))
         for c, row in echelon.items():  # tails only on free columns right of the pivot
             assert all(k > c and not pivot[k] and 0 < v < p for k, v in row.items() if k != c)
@@ -470,7 +459,7 @@ def test_kernel_result_does_not_depend_on_block_or_expansion_size(monkeypatch, c
                         ("_CHUNK_ROWS", 2048), ("_EXPANSION_ENTRIES", 1)]:
         with monkeypatch.context() as m:
             m.setattr(oracle, name, value)
-            pivot, reduced = _echelon(rows, ncols, DEFAULT_PRIME)
+            pivot, reduced = _echelon(rows, ncols)
         forms.append([a.tolist() for a in (pivot, *reduced)])
     assert all(form == forms[0] for form in forms)
 
@@ -484,9 +473,10 @@ def test_exact_system_matches_fraction_gauss_jordan(content):
 
 
 @pytest.mark.parametrize("content, p", [((1,) * 4, 3), ((3, 1, 1), 5), ((2, 2, 1), 7)])
-def test_small_prime_gives_the_rank_but_fails_the_span_check(content, p):
+def test_small_prime_gives_the_rank_but_fails_the_span_check(monkeypatch, content, p):
     ncols, rows, pivot, lifted = _system(content)
-    small, (owner, col, val) = _echelon(rows, ncols, p)
+    monkeypatch.setattr(oracle, "DEFAULT_PRIME", p)
+    small, (owner, col, val) = _echelon(rows, ncols)
     assert small.sum() == pivot.sum()
     assert _spans(rows, pivot, lifted)
     assert not _spans(rows, small, (owner, col, _lift(val, p)))
@@ -499,10 +489,11 @@ def test_tampered_reduced_entry_fails_the_span_check():
     assert not _spans(rows, pivot, (owner, col, val))
 
 
-def test_certificate_holds_at_the_largest_prime():
+def test_certificate_holds_at_the_largest_prime(monkeypatch):
     ncols, rows = _system((3, 2, 1))[:2]
     p = 3_037_000_493  # largest prime below 2^31.5: lifted entries up to p/2
-    pivot, (owner, col, val) = _echelon(rows, ncols, p)
+    monkeypatch.setattr(oracle, "DEFAULT_PRIME", p)
+    pivot, (owner, col, val) = _echelon(rows, ncols)
     assert _spans(rows, pivot, (owner, col, _lift(val, p)))
 
 
@@ -552,11 +543,12 @@ def test_one_elimination_per_content_and_prime(monkeypatch, call, arg):
 
     for name in counts:
         monkeypatch.setattr(oracle, name, counted(name))
-    eliminations = 1  # one brute-force content
-    if call is quotient_dim_multigraded:  # one per level of two or more labels
-        eliminations = len({oracle._standardised(sub)[0]
-                            for sub in _sub_multisets(_content_labels(arg)) if len(sub) > 1})
-        assert eliminations == 11  # 2, 3, 3 and 2 label tuples of 2..5 labels, and 4,1,1
+    labels = _content_labels((1,) * arg if call is quotient_dim else arg)
+    # one per level of two or more labels
+    eliminations = len({oracle._standardised(sub)[0] for sub in _sub_multisets(labels)
+                        if len(sub) > 1})
+    # 1^5: the levels 1^2 to 1^5; 4,1,1: 2, 3, 3 and 2 label tuples of 2..5 labels, and itself
+    assert eliminations == {quotient_dim: 4, quotient_dim_multigraded: 11}[call]
     _system.cache_clear()
     oracle._level.cache_clear()
     try:
@@ -603,20 +595,11 @@ def test_quotient_dim_guard_and_prime_check():
         quotient_dim_multigraded((2, 1), second_prime=3)
 
 
-def test_composite_and_oversized_moduli_are_rejected():
-    rows = _consequence_rows(span_columns((1, 2, 3)))
-    for _ in range(2):  # the modulus check is cached: a rejection must recur
-        for modulus in (4, 1_000_000, 1_000_001, 2**31 + 1):  # 1000001 = 101 * 9901
-            with pytest.raises(ValueError, match="not prime"):
-                _echelon(rows, 12, modulus)
-        # prime, but (p-1)^2 overflows int64
-        with pytest.raises(ValueError, match="int64"):
-            _echelon(rows, 12, 3_221_225_461)
-        for modulus in (0, 2):
-            with pytest.raises(ValueError, match="prime must exceed 2"):
-                _echelon(rows, 12, modulus)
-    assert _echelon(rows, 12, 3)[0].sum() == 5
-    assert _echelon(rows, 12, 3_037_000_493)[0].sum() == 5  # largest prime below 2^31.5
+def test_kernel_rank_at_the_smallest_and_largest_primes(monkeypatch):
+    rows = consequence_rows(span_columns((1, 2, 3)))
+    for p in (3, 3_037_000_493):  # the smallest odd prime and the largest below 2^31.5
+        monkeypatch.setattr(oracle, "DEFAULT_PRIME", p)
+        assert _echelon(rows, 12)[0].sum() == 5
 
 
 def test_quotient_dim_multigraded_examples():
@@ -710,12 +693,14 @@ def test_label_major_order_sorts_by_labels_then_shape():
         assert [columns[j] for j in range(len(ambient))] == expected
 
 
-def test_label_major_rank_equals_the_exact_rank():
+def test_label_major_rank_equals_the_exact_rank(monkeypatch):
     contents = [c for total in range(1, 6) for c in positive_contents(total)]
     assert len(contents) == 31
     for content in contents:
         ncols, rows, pivot, _ = _system(content)
-        assert _echelon(rows, ncols, 1_000_003)[0].sum() == pivot.sum()
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "DEFAULT_PRIME", 1_000_003)
+            assert _echelon(rows, ncols)[0].sum() == pivot.sum()
 
 
 def test_exact_system_is_built_on_the_one_system():
@@ -726,7 +711,7 @@ def test_exact_system_is_built_on_the_one_system():
             columns = label_major(labels)
             assert ncols == len(columns)
             span = consequence_span_multigraded(content)
-            want = _consequence_rows(span_array(index_rows(span, columns)))
+            want = consequence_rows(span_array(index_rows(span, columns)))
             assert all((a == b).all() for a, b in zip(rows, want))
 
 
@@ -753,9 +738,9 @@ def test_label_major_rank_equals_the_canonical_rank_at_degree_6():
     content = (3, 2, 1)
     canonical = monomials_with_labels(_content_labels(content))
     ncols, rows = _system(content)[:2]
-    canonical_rows = _consequence_rows(span_columns(_content_labels(content)))
-    rank = _echelon(rows, ncols, DEFAULT_PRIME)[0].sum()
-    assert rank == _echelon(canonical_rows, len(canonical), DEFAULT_PRIME)[0].sum()
+    canonical_rows = consequence_rows(span_columns(_content_labels(content)))
+    rank = _echelon(rows, ncols)[0].sum()
+    assert rank == _echelon(canonical_rows, len(canonical))[0].sum()
     assert rank == len(canonical) - multigraded_dim(content)
 
 
@@ -783,21 +768,6 @@ def test_rewrite_is_idempotent_on_eliminated_monomials():
         assert qb.rewrite_combination(dict(expansion)) == expansion
 
 
-def test_class_representative_types():
-    for n in range(1, 7):
-        for mu in generate_partitions(n):
-            assert cycle_type_of(class_representative(mu)) == mu
-
-
-def test_trace_is_a_class_function_degree_4():
-    traces = {}
-    for images in permutations(range(1, 5)):
-        mu = cycle_type_of(images)
-        traces.setdefault(mu, set()).add(permutation_trace(4, images))
-    for mu, values in traces.items():
-        assert len(values) == 1, f"trace not constant on class {mu}"
-
-
 def test_quotient_character_values():
     chi = quotient_character(3)
     assert chi.value_at((1, 1, 1)) == 7
@@ -822,6 +792,23 @@ def test_oracle_multiplicities_match_closed_form():
     }
     for n in (3, 4):
         assert oracle_multiplicities(n).terms == sn_decomposition(n).terms
+
+
+def test_oracle_multiplicities_at_degree_6_by_kostka_inversion():
+    # the eleven levels of the contents of 6, 1^6 the largest: about 3 s, no brute force
+    assert oracle_multiplicities(6) == sn_decomposition(6)
+
+
+def test_negative_kostka_remainder_raises(monkeypatch):
+    level = oracle._level
+    # dim A(2,1) = 1 < 2 * K_{(3),(2,1)}: the remainder for (2, 1) is 1 - 2
+    monkeypatch.setattr(oracle, "_level", lambda labels: replace(level(labels), dim=1)
+                        if labels == (1, 1, 2) else level(labels))
+    with pytest.raises(MultiplicityError,
+                       match=r"^multiplicity of \(2, 1\) is -1, not a non-negative integer$"):
+        oracle_multiplicities(3)
+    with pytest.raises(MultiplicityError):
+        quotient_character(3)
 
 
 def test_oracle_guards():
