@@ -245,15 +245,10 @@ def _dump_matrix(n: int, target: str) -> None:
         raise
 
 
-LONG_RUN_COLUMNS = 1680  # the 1^5 component: every input of degree <= 5 runs without --allow-n6
-
-
 def _verify_checks(args) -> list[dict]:
     n = args.n
-    content, columns = oracle._component(
-        oracle._multilinear(n) if n is not None else _parse_multidegree(args.multidegree))
-    if columns > LONG_RUN_COLUMNS and not args.allow_n6:
-        raise UsageError(f"over {LONG_RUN_COLUMNS} columns is a long run; pass --allow-n6")
+    content = oracle._component(  # the oracle's guard: one size policy, bad input refused first
+        oracle._multilinear(n) if n is not None else _parse_multidegree(args.multidegree))[0]
     if n is not None:
         if args.dump_matrix:
             _dump_matrix(n, args.dump_matrix)
@@ -327,16 +322,17 @@ def build_parser(default_format: str | None) -> _Parser:
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify", parents=[common],
-                       help="T-ideal oracle check against the formulas",
+                       help="T-ideal oracle check against the formulas, level by level",
                        description="T-ideal oracle check against the formulas, built level "
                        "by level from the quotients of smaller contents; --n takes its S_n "
                        "multiplicities from the level dimensions by Kostka inversion.  Every "
                        "rank is taken modulo 2^31 - 1 and certified over Q; a form that does "
-                       "not lift is a failed check.")
+                       "not lift is a failed check.  Every component that the oracle's column "
+                       "guard admits runs as is; a larger one is a usage error.")
     p.add_argument("--n", type=int)
     p.add_argument("--multidegree", metavar="L1,L2,...")
-    p.add_argument("--allow-n6", action="store_true",
-                   help="permit components of more than 1680 columns, up to 30240")
+    # accepted and ignored: old command lines pass it, and it changes no byte of the output
+    p.add_argument("--allow-n6", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--dump-matrix", metavar="FILE",
                    help="dump the consequence matrix as sparse triplets")
     p.set_defaults(func=cmd_verify)

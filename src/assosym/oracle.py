@@ -43,9 +43,9 @@ mod 2^40 under a bound taken from the data.  That proves rank over Q <=
 rank mod p, and rank mod p <= rank over Q always holds, so the lifted rows
 are the unique reduced echelon form over Q and their number is both ranks.
 A reduced form that does not lift raises RankMismatchError instead of a
-wrong answer.  One guard bounds every component by its brute-force column
-count, MAX_COLUMNS.  The brute force's reduced rows give a rewriting map
-into a quotient basis, its free columns.
+wrong answer.  One guard, the package's only size policy, bounds every
+component by its brute-force column count, MAX_COLUMNS.  The brute force's
+reduced rows give a rewriting map into a quotient basis, its free columns.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
@@ -761,7 +761,9 @@ def _distinct_rows(owner: np.ndarray, col: np.ndarray, val: np.ndarray) -> tuple
     row = np.arange(len(heads)).repeat(lengths)
     keys[row, 2 * position] = col
     keys[row, 2 * position + 1] = val
-    keys = np.unique(keys, axis=0)
+    if len(keys):  # np.lexsort takes no empty key list; np.unique(axis=0) imports numpy.ma
+        keys = keys[np.lexsort(keys.T[::-1])]
+        keys = keys[np.append(True, (keys[1:] != keys[:-1]).any(1))]
     width = (keys[:, 0::2] >= 0).sum(1)
     keys = keys[np.argsort(-keys[np.arange(len(keys)), 2 * width - 2], kind="stable")]
     present = keys[:, 0::2] >= 0

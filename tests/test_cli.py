@@ -279,21 +279,24 @@ def test_verify_rejects_a_degree_below_1(capsys, n):
 
 
 def test_verify_degree_6_needs_opt_in(capsys):
-    code, _, err = run_cli(capsys, "verify", "--n", "6")
-    assert code == 1
-    assert "--allow-n6" in err
+    # it no longer does: 42 * 60 = 2520 columns, past the old 1680-column
+    # gate, runs with no flag, and --allow-n6 is a hidden no-op
+    code, out, _ = run_cli(capsys, "verify", "--multidegree", "3,2,1")
+    assert (code, out) == (0, "PASS: multigraded dimension, degree 3,2,1: 75 = 75\n")
+    assert run_cli(capsys, "verify", "--multidegree", "3,2,1", "--allow-n6") == (code, out, "")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--allow-n6" not in capsys.readouterr().out
 
 
 def test_allow_n6_gates_components_past_1680_columns(capsys):
-    # 42 shapes * 30 arrangements = 1260 columns: a degree-6 run with no flag
+    # the oracle's column guard is the only size policy; the flag gates nothing
+    # 42 shapes * 30 arrangements = 1260 columns
     code, out, _ = run_cli(capsys, "verify", "--multidegree", "4,1,1")
-    assert code == 0
-    assert out == "PASS: multigraded dimension, degree 4,1,1: 42 = 42\n"
-    # 42 * 60 = 2520 columns
-    code, out, err = run_cli(capsys, "verify", "--multidegree", "3,2,1")
-    assert (code, out) == (1, "")
-    assert "over 1680 columns" in err and "--allow-n6" in err
-    # 132 * 420 = 55440 columns: past the oracle's own limit, flag or not
+    assert (code, out) == (0, "PASS: multigraded dimension, degree 4,1,1: 42 = 42\n")
+    assert run_cli(capsys, "verify", "--multidegree", "4,1,1", "--allow-n6") == (code, out, "")
+    # 132 * 420 = 55440 columns: past the oracle's limit, flag or not
     for flag in ((), ("--allow-n6",)):
         code, out, err = run_cli(capsys, "verify", "--multidegree", "3,2,1,1", *flag)
         assert (code, out) == (1, "")
@@ -501,15 +504,26 @@ def test_io_failures_are_usage_errors(capsys, tmp_path, monkeypatch, case):
     assert "Traceback" not in out + err
 
 
+def child_env(**extra):
+    """The environment of a child importing this process's package, installed or not."""
+    path = os.pathsep.join(filter(None, (SRC_ROOT, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_verify_does_not_import_numpy_ma():
+    # np.unique(..., axis=0) imports numpy.ma: 10-15 ms of every cold process
+    script = ("import sys; from assosym import cli; code = cli.main(['verify', '--n', '5']); "
+              "sys.exit(code or 'numpy.ma' in sys.modules)")
+    subprocess.run([sys.executable, "-c", script], capture_output=True, env=child_env(),
+                   check=True)
+
+
 def test_verify_reports_are_byte_identical_across_hash_seeds(tmp_path):
     outputs = []
     for seed in ("0", "4242"):
-        # the child imports the same package as this process, installed or not
-        path = os.pathsep.join(filter(None, (SRC_ROOT, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "assosym.cli", "verify", "--n", "3"],
-            capture_output=True, env=env, check=True,
+            capture_output=True, env=child_env(PYTHONHASHSEED=seed), check=True,
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]

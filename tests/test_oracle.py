@@ -44,6 +44,7 @@ from assosym.oracle import (
     _to_label_major,
     _without,
 )
+from assosym.partitions import generate_partitions
 
 
 def index_rows(elements, columns):
@@ -661,6 +662,26 @@ def test_quotient_dim_multigraded_matches_formula_small():
 @pytest.mark.parametrize("content", [(6,), (5, 1), (4, 2), (3, 3), (4, 1, 1)])
 def test_quotient_dim_multigraded_matches_formula_degree_6(content):
     assert quotient_dim_multigraded(content) == multigraded_dim(content)
+
+
+def admitted_partitions(degree):
+    """The partition contents of a degree that the oracle's column guard admits."""
+    for content in generate_partitions(degree):
+        try:
+            oracle._component(content)
+        except ValueError:
+            continue
+        yield content
+
+
+def test_every_admitted_partition_content_past_degree_6_matches_formula():
+    contents, degree = [], 7
+    while batch := list(admitted_partitions(degree)):
+        contents += batch
+        degree += 1
+    assert (4, 3) in contents
+    for content in contents:
+        assert quotient_dim_multigraded(content) == multigraded_dim(content), content
 
 
 def test_recursive_dims_equal_the_brute_force():
