@@ -48,6 +48,7 @@ def sn_decomposition(n: int) -> Decomposition:
     Every partition contributes d_lambda copies (the regular module); shapes
     with at most two rows pick up the extra two-row multiplicity.
     """
+    (n,) = _integers((n,), "n")
     if n < 1:
         raise ValueError("n must be positive")
     terms: dict[Label, int] = {}
@@ -57,11 +58,12 @@ def sn_decomposition(n: int) -> Decomposition:
             mult += two_row_multiplicity(n, lam[1] if len(lam) == 2 else 0)
         if mult:
             terms[Label(lam)] = mult
-    return Decomposition(n, GROUP_SYMMETRIC, terms)
+    return Decomposition._canonical(n, GROUP_SYMMETRIC, terms)
 
 
 def an_decomposition(n: int) -> Decomposition:
     """A_n-decomposition of P_n, with conjugate pairs merged and splits halved."""
+    (n,) = _integers((n,), "n")
     if n < 2:
         raise ValueError("alternating decomposition needs n >= 2")
     return restrict_to_alternating(sn_decomposition(n))
@@ -73,12 +75,12 @@ def gl_decomposition(n: int, m: int) -> Decomposition:
     Same multiplicities as the S_n case; labels with more than m rows index
     zero-dimensional Weyl modules and are dropped.
     """
-    (m,) = _integers((m,), "m")
+    n, m = _integers((n, m), "n and m")
     if m < 1:
         raise ValueError("m must be positive")
     sn = sn_decomposition(n)
     terms = {label: mult for label, mult in sn.terms.items() if len(label.partition) <= m}
-    return Decomposition(n, GROUP_GENERAL_LINEAR, terms)
+    return Decomposition._canonical(n, GROUP_GENERAL_LINEAR, terms)
 
 
 def an_gl_decomposition(n: int, m: int) -> Decomposition:
@@ -91,6 +93,7 @@ def an_gl_decomposition(n: int, m: int) -> Decomposition:
     an_decomposition, nothing is halved here.  Dimensions of the underlying
     A-Weyl modules are not computed.
     """
+    n, m = _integers((n, m), "n and m")
     if n < 2:
         raise ValueError("alternating decomposition needs n >= 2")
     return _merge_conjugate_pairs(gl_decomposition(n, m), halve=False)
@@ -98,6 +101,7 @@ def an_gl_decomposition(n: int, m: int) -> Decomposition:
 
 def codimension(n: int) -> int:
     """dim of the multilinear degree-n part: n! + 2^n - C(n+1, 2) - 1."""
+    (n,) = _integers((n,), "n")
     if n < 1:
         raise ValueError("n must be positive")
     return factorial(n) + 2**n - binomial(n + 1, 2) - 1
@@ -110,6 +114,7 @@ def graded_dim(n: int, r: int) -> int:
     collapsed into binomials (taken as 0 on negative lower index, which
     makes the n = 1, 2 edge terms vanish correctly).
     """
+    n, r = _integers((n, r), "n and r")
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
     return (
@@ -143,6 +148,7 @@ def multigraded_dim(l) -> int:
 
 def cocharacter(n: int) -> CharacterVector:
     """S_n-character of P_n, exact values in canonical cycle-type order."""
+    (n,) = _integers((n,), "n")
     if not 1 <= n <= 10:
         raise ValueError("cocharacter is limited to 1 <= n <= 10 (character table guard)")
     return _character_of(sn_decomposition(n))
@@ -155,6 +161,7 @@ def colength(n: int) -> int:
     k^2 + 2k - 5 + inv(S_n), and for n = 2k + 1 >= 5 it is
     k^2 + 3k - 4 + inv(S_n).
     """
+    (n,) = _integers((n,), "n")
     if n < 1:
         raise ValueError("n must be positive")
     return _two_row_colength(n) + involution_count(n)
@@ -200,6 +207,7 @@ def basis_count_direct(n: int, r: int) -> int:
     non-decreasing head of length n-k and a non-decreasing tail of length
     k >= 3.  Must agree with graded_dim(n, r); guarded to n <= 8, r <= 4.
     """
+    n, r = _integers((n, r), "n and r")
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
     if n > 8 or r > 4:

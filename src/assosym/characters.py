@@ -151,6 +151,7 @@ def involution_count(n: int) -> int:
 
     I(n) = I(n-1) + (n-1) I(n-2); equals sum of d_lambda over lambda of n.
     """
+    (n,) = _integers((n,), "n")
     if n < 0:
         raise ValueError("n must be non-negative")
     return next(islice(_involution_counts(), n, None))
@@ -203,7 +204,10 @@ def _merge_conjugate_pairs(dec: Decomposition, halve: bool) -> Decomposition:
         else:  # a pair is booked at its lexicographically larger member
             merged = Label(max(lam, partner))
             terms[merged] = terms.get(merged, 0) + mult
-    return Decomposition(dec.n, GROUP_ALTERNATING, terms)
+    # a member booked before its larger partner (absent from dec) is out of
+    # place: a stable sort by partition restores the canonical order
+    ordered = sorted(terms.items(), key=lambda item: item[0].partition, reverse=True)
+    return Decomposition._canonical(dec.n, GROUP_ALTERNATING, dict(ordered))
 
 
 def alternating_label_dimension(label: Label) -> int:

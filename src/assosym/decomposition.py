@@ -46,7 +46,14 @@ class Label(NamedTuple):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Degree-n decomposition into irreducibles with positive multiplicities."""
+    """Degree-n decomposition into irreducibles with positive multiplicities.
+
+    Validation happens at the boundary, once: the public constructor (and so
+    ``from_json_dict``) checks every label, tag and multiplicity and puts the
+    terms in canonical order.  The package's own builders never repeat it:
+    their terms are canonical by construction, so they go straight to
+    ``_canonical``, the store the public constructor ends in too.
+    """
 
     n: int
     group: str
@@ -55,12 +62,12 @@ class Decomposition:
     def __post_init__(self):
         if self.group not in _GROUPS:
             raise ValueError(f"unknown group {self.group!r}")
-        object.__setattr__(self, "n", _integers((self.n,), "n")[0])
+        (n,) = _integers((self.n,), "n")
         terms = {}
         for label, mult in zip(self.terms, _integers(self.terms.values(), "multiplicities")):
             lam = check_partition(label.partition)
-            if sum(lam) != self.n:
-                raise ValueError(f"label {label} is not a partition of {self.n}")
+            if sum(lam) != n:
+                raise ValueError(f"label {label} is not a partition of {n}")
             if mult < 1:
                 raise ValueError(f"multiplicity of {label} must be >= 1, got {mult}")
             if label.sign:
@@ -73,7 +80,26 @@ class Decomposition:
             terms[Label(lam, label.sign)] = mult
         ordered = sorted(terms.items(), key=lambda item: item[0].sign)
         ordered.sort(key=lambda item: item[0].partition, reverse=True)
-        object.__setattr__(self, "terms", MappingProxyType(dict(ordered)))
+        self._store(n, self.group, dict(ordered))
+
+    def _store(self, n: int, group: str, terms: dict) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+
+    @classmethod
+    def _canonical(cls, n: int, group: str, terms: dict) -> "Decomposition":
+        """Store terms that are canonical already, with no check.
+
+        The caller guarantees what the public constructor would check: int
+        ``n``, a known ``group``, ``Label``s over int partitions of n from
+        ``generate_partitions`` (tags only on self-conjugate ones of an
+        alternating decomposition), positive int multiplicities, in canonical
+        order.  ``terms`` is kept, not copied.
+        """
+        dec = object.__new__(cls)
+        dec._store(n, group, terms)
+        return dec
 
     def multiplicity(self, partition, sign: str = "") -> int:
         return self.terms.get(Label(tuple(partition), sign), 0)

@@ -958,7 +958,7 @@ def oracle_multiplicities(n: int) -> Decomposition:
             )
         if mult:
             terms[Label(mu)] = mult
-    return Decomposition(n, GROUP_SYMMETRIC, terms)
+    return Decomposition._canonical(n, GROUP_SYMMETRIC, terms)
 
 
 def quotient_character(n: int) -> CharacterVector:

@@ -40,20 +40,40 @@ def generate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order: (n) first, (1^n) last.
 
     This is the canonical index order used by every table and decomposition
-    in the package.
+    in the package.  Each partition follows from the one before (Zoghbi and
+    Stojmenovic's ZS1): its last part r + 1 > 1 drops to r, and the unit it
+    loses joins the trailing 1's, regrouped into parts r and one remainder.
     """
+    (n,) = _integers((n,), "n")
     if n < 0:
         raise ValueError("n must be non-negative")
-
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(rec(n, n))
+    if n == 0:
+        return ((),)
+    parts = [n] + [1] * (n - 1)
+    length, h = 1, 0  # parts[:length] is the partition, parts[h] its last part > 1
+    out = [(n,)]
+    while parts[0] != 1:
+        if parts[h] == 2:
+            parts[h] = 1
+            length += 1
+            h -= 1
+        else:
+            r = parts[h] - 1
+            t = length - h  # the unit taken off plus the trailing 1's, regrouped
+            parts[h] = r
+            while t >= r:
+                h += 1
+                parts[h] = r
+                t -= r
+            if t == 0:
+                length = h + 1
+            else:
+                length = h + 2
+                if t > 1:
+                    h += 1
+                    parts[h] = t
+        out.append(tuple(parts[:length]))
+    return tuple(out)
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -165,6 +185,7 @@ def two_row_partitions(n: int) -> list[Partition]:
     The second part ranges over 0..n//2; the 0 case is returned as the
     one-row partition (n,) so its term merges with the one-row label.
     """
+    (n,) = _integers((n,), "n")
     if n < 1:
         raise ValueError("n must be positive")
     out = []

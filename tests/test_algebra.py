@@ -1,8 +1,10 @@
 import decimal
+import sys
 from itertools import islice
 
 import pytest
 
+from assosym import partitions
 from assosym.algebra import (
     _sequences,
     an_decomposition,
@@ -19,7 +21,13 @@ from assosym.algebra import (
 )
 from assosym.characters import involution_count, restrict_to_alternating
 from assosym.decomposition import Decomposition, Label
-from assosym.partitions import _kostka, generate_partitions, specht_dim, weyl_dim
+from assosym.partitions import (
+    _kostka,
+    generate_partitions,
+    specht_dim,
+    two_row_partitions,
+    weyl_dim,
+)
 
 # multiplicities of P_1 .. P_5, with the degree-5 labels that the dimension
 # counts force ((2,2,1) and (2,1,1,1))
@@ -98,6 +106,66 @@ def test_gl_decompositions_reject_a_non_integral_dimension():
         with pytest.raises(ValueError, match="must be integers"):
             table(4, 2.5)
         assert table(4, 2.0) == table(4, 2)
+
+
+# each entry point with an integral float and a non-integral value of the same arity
+DEGREE_ENTRY_POINTS = [
+    (sn_decomposition, (4.0,), (4.5,)),
+    (an_decomposition, (4.0,), (4.5,)),
+    (gl_decomposition, (4.0, 2), (4.5, 2)),
+    (an_gl_decomposition, (4.0, 2), (4.5, 2)),
+    (codimension, (4.0,), (4.5,)),
+    (graded_dim, (2.0, 2), (2.5, 2)),
+    (basis_count_direct, (3.0, 2), (3.5, 2)),
+    (cocharacter, (4.0,), (4.5,)),
+    (generate_partitions, (4.0,), (4.5,)),
+    (two_row_partitions, (4.0,), (4.5,)),
+    (colength, (4.0,), (2.5,)),
+    (involution_count, (4.0,), (2.5,)),
+]
+
+
+@pytest.mark.parametrize("entry, integral, fractional", DEGREE_ENTRY_POINTS,
+                         ids=[entry.__name__ for entry, _, _ in DEGREE_ENTRY_POINTS])
+def test_entry_points_classify_a_float_degree(entry, integral, fractional):
+    # a float n once raised TypeError from range(), or islice's ValueError
+    with pytest.raises(ValueError, match="must be integers"):
+        entry(*fractional)
+    assert entry(*integral) == entry(*map(int, integral))
+
+
+def test_generate_partitions_yields_int_parts_for_an_integral_float():
+    generate_partitions.cache_clear()  # 4.0 and 4 share one cache key
+    try:
+        assert all(type(p) is int for lam in generate_partitions(4.0) for p in lam)
+    finally:
+        generate_partitions.cache_clear()
+
+
+def test_builders_do_not_revalidate_their_own_labels(monkeypatch):
+    # the labels come from generate_partitions: checking them again once cost
+    # 31122 check_partition calls per closed-form-tables benchmark pass
+    calls = []
+    original = partitions.check_partition
+
+    def counted(lam):
+        calls.append(lam)
+        return original(lam)
+
+    # rebound wherever it was imported by name, as perfbench's tracer does
+    for name, module in list(sys.modules.items()):
+        if name == "assosym" or name.startswith("assosym."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    Decomposition(2, "S", {Label((2,)): 1})
+    assert calls == [(2,)]  # the public constructor still checks
+    calls.clear()
+    sn_decomposition(20)
+    an_decomposition(20)
+    gl_decomposition(20, 3)
+    an_gl_decomposition(20, 3)
+    assert calls == []
 
 
 def test_decomposition_rejects_a_non_integral_multiplicity():

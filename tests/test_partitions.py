@@ -68,6 +68,8 @@ def test_generate_partitions_counts_match_recurrence():
     for n in range(13):
         assert len(generate_partitions(n)) == partition_count(n)
     assert len(generate_partitions(10)) == 42
+    assert len(generate_partitions(30)) == partition_count(30) == 5604
+    assert len(generate_partitions(40)) == partition_count(40) == 37338
 
 
 def test_generate_partitions_reverse_lexicographic_and_unique():
