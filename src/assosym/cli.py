@@ -20,7 +20,12 @@ from decimal import Decimal
 
 from . import algebra, oracle
 from .characters import _alternating_label_dimension
-from .decomposition import GROUP_ALTERNATING, GROUP_GENERAL_LINEAR, GROUP_SYMMETRIC
+from .decomposition import (
+    GROUP_ALTERNATING,
+    GROUP_GENERAL_LINEAR,
+    GROUP_SYMMETRIC,
+    _formal_sum,
+)
 from .partitions import _specht_dim, weyl_dim
 
 CONFIG_NAME = "assosym.cfg"
@@ -112,15 +117,16 @@ def cmd_decompose(args) -> tuple[str, int]:
     dims = [dimension(label) for label in dec.terms]
     if args.format == "csv":
         rows = [
-            [" ".join(str(p) for p in label.partition), label.sign, str(mult),
+            [" ".join(map(str, label.partition)), label.sign, str(mult),
              "" if dim is None else str(dim)]
             for (label, mult), dim in zip(dec.terms.items(), dims)
         ]
         return _csv_text(["partition", "sign", "mult", "dim"], rows), EXIT_OK
-    lines = [f"P_{args.n} = {dec.render(symbol)}"]
-    for (label, mult), dim in zip(dec.terms.items(), dims):
+    labels = [label.render() for label in dec.terms]
+    lines = [f"P_{args.n} = {_formal_sum(dec.terms.values(), labels, symbol)}"]
+    for label, mult, dim in zip(labels, dec.terms.values(), dims):
         dim_text = "" if dim is None else f", dim {dim}"
-        lines.append(f"  {label.render()}: mult {mult}{dim_text}")
+        lines.append(f"  {label}: mult {mult}{dim_text}")
     if dec.group == GROUP_SYMMETRIC:
         lines.append(f"codimension: {sum(m * d for m, d in zip(dec.terms.values(), dims))}")
         lines.append(f"colength: {dec.total_multiplicity()}")
@@ -130,7 +136,8 @@ def cmd_decompose(args) -> tuple[str, int]:
     elif dec.group == GROUP_GENERAL_LINEAR:
         total = sum(m * d for m, d in zip(dec.terms.values(), dims))
         lines.append(f"total dimension (dim V = {args.dim}): {total}")
-    return "\n".join(lines) + "\n", EXIT_OK
+    lines.append("")  # the final newline, joined in rather than a copy of the whole text
+    return "\n".join(lines), EXIT_OK
 
 
 # ---------------------------------------------------------------------------

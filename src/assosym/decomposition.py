@@ -11,7 +11,9 @@ partitions as in ``generate_partitions`` and the tags of one partition as
      "codimension": "29", "colength": "13"}
 
 Multiplicities are decimal strings so arbitrary-precision values survive
-JSON consumers with 64-bit integers.
+JSON consumers with 64-bit integers.  ``to_json`` writes that layout itself:
+byte for byte ``json.dumps(to_json_dict(), indent=2)`` and a newline, without
+the pure-Python encoder that an indent selects.
 """
 
 import json
@@ -40,8 +42,7 @@ class Label(NamedTuple):
     sign: str = ""
 
     def render(self) -> str:
-        body = "(" + ",".join(str(p) for p in self.partition) + ")"
-        return body + self.sign
+        return "(" + ",".join(map(str, self.partition)) + ")" + self.sign
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,28 @@ class Decomposition:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """``to_json_dict`` as two-space indented JSON text, ending in a newline.
+
+        The layout is written directly, one formatted string per term, all
+        joined once.  No string needs escaping: the group and tags are known
+        ASCII strings, and every number, quoted or not, is decimal digits.
+        """
+        out = [f'{{\n  "n": {self.n},\n  "group": "{self.group}",\n  "terms": [']
+        sep = "\n"
+        for (partition, sign), mult in self.terms.items():
+            parts = ",\n        ".join(map(str, partition))
+            parts = f"[\n        {parts}\n      ]" if partition else "[]"
+            sign_line = f'      "sign": "{sign}",\n' if sign else ""
+            out.append(
+                f'{sep}    {{\n      "partition": {parts},\n{sign_line}      "mult": "{mult}"\n    }}'
+            )
+            sep = ",\n"
+        out.append("\n  ]" if self.terms else "]")
+        if self.group == GROUP_SYMMETRIC:
+            out.append(f',\n  "codimension": "{self.total_dimension()}"'
+                       f',\n  "colength": "{self.total_multiplicity()}"')
+        out.append("\n}\n")
+        return "".join(out)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":
@@ -152,7 +174,10 @@ class Decomposition:
 
     def render(self, module_symbol: str = "S") -> str:
         """Render as a formal sum, e.g. ``3*S^{(4)} + 4*S^{(3,1)}``."""
-        parts = []
-        for label, mult in self.terms.items():
-            parts.append(f"{mult}*{module_symbol}^{{{label.render()}}}")
-        return " + ".join(parts) if parts else "0"
+        return _formal_sum(self.terms.values(), map(Label.render, self.terms), module_symbol)
+
+
+def _formal_sum(mults, labels, module_symbol: str) -> str:
+    """The formal sum of the rendered ``labels`` with their multiplicities."""
+    terms = [f"{mult}*{module_symbol}^{{{label}}}" for mult, label in zip(mults, labels)]
+    return " + ".join(terms) if terms else "0"

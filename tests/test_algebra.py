@@ -1,4 +1,5 @@
 import decimal
+import json
 import sys
 from itertools import islice
 
@@ -21,6 +22,7 @@ from assosym.algebra import (
 )
 from assosym.characters import involution_count, restrict_to_alternating
 from assosym.decomposition import Decomposition, Label
+from assosym.oracle import oracle_multiplicities
 from assosym.partitions import (
     _kostka,
     generate_partitions,
@@ -377,6 +379,43 @@ def test_decomposition_json_round_trip():
         back = Decomposition.from_json(text)
         assert back == dec
         assert back.to_json() == text
+
+
+def reference_json(dec):
+    """The layout through the standard library's encoder."""
+    return json.dumps(dec.to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_to_json_matches_the_reference_encoder(n):
+    decs = [sn_decomposition(n)]
+    decs += [gl_decomposition(n, m) for m in range(1, 5)]
+    if n >= 2:
+        decs.append(an_decomposition(n))
+        decs += [an_gl_decomposition(n, m) for m in range(1, 5)]
+    for dec in decs:
+        assert dec.to_json() == reference_json(dec)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_to_json_of_oracle_multiplicities_matches_the_reference_encoder(n):
+    dec = oracle_multiplicities(n)
+    assert dec.to_json() == reference_json(dec)
+
+
+def test_to_json_of_edge_decompositions_matches_the_reference_encoder():
+    for dec in (
+        Decomposition(4, "A", {Label((2, 2), "+"): 1, Label((2, 2), "-"): 3, Label((4,)): 2}),
+        Decomposition(3, "S", {}),
+        Decomposition(3, "A", {}),
+        Decomposition(0, "S", {Label(()): 1}),
+        Decomposition(2, "GL", {Label((1, 1)): 10**40}),
+    ):
+        assert dec.to_json() == reference_json(dec)
+    assert Decomposition(3, "S", {}).to_json() == (
+        '{\n  "n": 3,\n  "group": "S",\n  "terms": [],\n'
+        '  "codimension": "0",\n  "colength": "0"\n}\n'
+    )
 
 
 def test_decomposition_from_json_rejects_repeated_labels():

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assosym import characters
 from assosym.characters import (
@@ -37,6 +40,29 @@ def cycle_type(perm):
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+@cache
+def reference_mn(lam, mu):
+    """chi_lam(mu) by border strips on sorted beta lists and partition tuples."""
+    if not mu:
+        return 1 if not lam else 0
+    k, rest = mu[0], mu[1:]
+    ell = len(lam)
+    beta = [p + ell - 1 - i for i, p in enumerate(lam)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        new_beta = sorted((nb if c == b else c for c in beta), reverse=True)
+        new_lam = tuple(c - (ell - 1 - i) for i, c in enumerate(new_beta))
+        while new_lam and new_lam[-1] == 0:
+            new_lam = new_lam[:-1]
+        total += (-1) ** height * reference_mn(new_lam, rest)
+    return total
 
 
 def sign_of_type(mu):
@@ -153,6 +179,26 @@ def test_row_orthogonality_exact():
             for j in range(i, len(table)):
                 dot = sum(s * a * b for s, a, b in zip(sizes, table[i], table[j]))
                 assert dot == (factorial(n) if i == j else 0)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_character_table_matches_the_reference_recursion(n):
+    classes = generate_partitions(n)
+    assert character_table(n) == [[reference_mn(lam, mu) for mu in classes] for lam in classes]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.tuples(
+    st.sampled_from(generate_partitions(n)), st.sampled_from(generate_partitions(n)))))
+def test_column_orthogonality(classes):
+    # sum over lam of chi_lam(mu) chi_lam(nu) is z_mu = n! / |class of mu| when mu == nu, else 0
+    mu, nu = classes
+    n = sum(mu)
+    index = generate_partitions(n).index
+    table = character_table(n)
+    for a, b in ((mu, nu), (mu, mu)):
+        dot = sum(row[index(a)] * row[index(b)] for row in table)
+        assert dot == (factorial(n) // class_size(a) if a == b else 0)
 
 
 def test_inner_product_orthonormality_degree_5():
