@@ -51,14 +51,19 @@ def sn_decomposition(n: int) -> Decomposition:
     (n,) = _integers((n,), "n")
     if n < 1:
         raise ValueError("n must be positive")
+    return Decomposition._canonical(n, GROUP_SYMMETRIC, _sn_terms(n, generate_partitions(n)))
+
+
+def _sn_terms(n: int, partitions) -> dict[Label, int]:
+    """The terms of sn_decomposition(n) on the given partitions of n >= 1, in their order."""
     terms: dict[Label, int] = {}
-    for lam in generate_partitions(n):
+    for lam in partitions:
         mult = _specht_dim(lam)
         if len(lam) <= 2:
             mult += two_row_multiplicity(n, lam[1] if len(lam) == 2 else 0)
         if mult:
             terms[Label(lam)] = mult
-    return Decomposition._canonical(n, GROUP_SYMMETRIC, terms)
+    return terms
 
 
 def an_decomposition(n: int) -> Decomposition:
@@ -73,13 +78,14 @@ def gl_decomposition(n: int, m: int) -> Decomposition:
     """GL(V)-decomposition of the degree-n homogeneous part, dim V = m.
 
     Same multiplicities as the S_n case; labels with more than m rows index
-    zero-dimensional Weyl modules and are dropped.
+    zero-dimensional Weyl modules and are never built.
     """
     n, m = _integers((n, m), "n and m")
     if m < 1:
         raise ValueError("m must be positive")
-    sn = sn_decomposition(n)
-    terms = {label: mult for label, mult in sn.terms.items() if len(label.partition) <= m}
+    if n < 1:
+        raise ValueError("n must be positive")
+    terms = _sn_terms(n, (lam for lam in generate_partitions(n) if len(lam) <= m))
     return Decomposition._canonical(n, GROUP_GENERAL_LINEAR, terms)
 
 

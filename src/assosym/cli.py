@@ -2,9 +2,17 @@
 
 Every command prints to stdout (or ``--out FILE``) in one of three formats
 selected by ``--format {pretty,json,csv}``.  All numeric output is exact
-decimal; multiplicities and dimensions are serialized as strings.  An
-optional ``assosym.cfg`` file in the working directory (``key=value`` lines)
-may set the default format.
+decimal; multiplicities and dimensions are serialized as strings.
+
+A command checks its arguments and does every computation that can fail
+first, then returns its output as an iterable of pieces, which ``main``
+writes as they are produced: no whole table's text is held in memory, and
+a usage error prints nothing on stdout.  ``--out FILE`` (like ``verify
+--dump-matrix FILE``) streams into a new file beside FILE that replaces it
+only once complete, so a failure part-way leaves an existing FILE as it was.
+
+An optional ``assosym.cfg`` file in the working directory (``key=value``
+lines) may set the default format.
 
 Exit codes: 0 success / all checks pass, 1 usage error, 2 verification
 failure.
@@ -12,11 +20,14 @@ failure.
 
 import argparse
 import csv
-import io
 import json
 import os
+import stat
 import sys
+import textwrap
+from collections.abc import Iterable
 from decimal import Decimal
+from operator import mul
 
 from . import algebra, oracle
 from .characters import _alternating_label_dimension
@@ -24,7 +35,7 @@ from .decomposition import (
     GROUP_ALTERNATING,
     GROUP_GENERAL_LINEAR,
     GROUP_SYMMETRIC,
-    _formal_sum,
+    Label,
 )
 from .partitions import _specht_dim, weyl_dim
 
@@ -83,12 +94,51 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+class _Echo:
+    """A file for ``csv.writer``: ``write`` returns its text, so ``writerow`` returns the line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _csv_chunks(header, rows):
+    """The CSV text of header and rows, one line a piece."""
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(header)
+    for row in rows:
+        yield writer.writerow(row)
+
+
+def _write_atomically(target: str, write) -> None:
+    """Call ``write`` on a file for target; a regular file is replaced only once complete.
+
+    A regular or missing target, its symlinks followed to their end, gets a
+    new file beside that end, which ``os.replace`` renames onto it: one
+    rename within one directory, so a failure part-way leaves an existing
+    file as it was and removes the partial file, which this process alone
+    names.  Any other target (``/dev/stdout``, a FIFO), and an existing file
+    in a directory this process cannot add to, is written in place, as
+    ``open(target, "w")`` writes it.
+    """
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    real = os.path.realpath(target)
+    if mode is not None and not (stat.S_ISREG(mode)
+                                 and os.access(os.path.dirname(real), os.W_OK | os.X_OK)):
+        with open(target, "w", encoding="utf-8") as fh:
+            write(fh)
+        return
+    partial = f"{real}.{os.getpid()}.partial"
+    fh = open(partial, "x", encoding="utf-8")
+    try:
+        with fh:
+            write(fh)
+        os.replace(partial, real)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -110,78 +160,110 @@ def _decompose_result(n: int, group: str, dim_v: int | None):
     return "S_A", algebra.an_decomposition(n), _alternating_label_dimension
 
 
-def cmd_decompose(args) -> tuple[str, int]:
+def cmd_decompose(args) -> tuple[Iterable[str], int]:
     symbol, dec, dimension = _decompose_result(args.n, args.group, args.dim)
     if args.format == "json":
-        return dec.to_json(), EXIT_OK
-    dims = [dimension(label) for label in dec.terms]
+        return dec._json_chunks(), EXIT_OK
     if args.format == "csv":
-        rows = [
+        rows = (
             [" ".join(map(str, label.partition)), label.sign, str(mult),
              "" if dim is None else str(dim)]
-            for (label, mult), dim in zip(dec.terms.items(), dims)
-        ]
-        return _csv_text(["partition", "sign", "mult", "dim"], rows), EXIT_OK
-    labels = [label.render() for label in dec.terms]
-    lines = [f"P_{args.n} = {_formal_sum(dec.terms.values(), labels, symbol)}"]
+            for (label, mult), dim in zip(dec.terms.items(), map(dimension, dec.terms))
+        )
+        return _csv_chunks(["partition", "sign", "mult", "dim"], rows), EXIT_OK
+    return _decompose_pretty(args, symbol, dec, dimension), EXIT_OK
+
+
+def _decompose_pretty(args, symbol: str, dec, dimension):
+    labels = list(map(Label.render, dec.terms))
+    dims = list(map(dimension, dec.terms))
+    yield f"P_{args.n} = "
+    yield from dec._sum_chunks(labels, symbol)
+    yield "\n"
     for label, mult, dim in zip(labels, dec.terms.values(), dims):
-        dim_text = "" if dim is None else f", dim {dim}"
-        lines.append(f"  {label}: mult {mult}{dim_text}")
+        if dim is None:  # an A-Weyl module's dimension is not computed
+            yield f"  {label}: mult {mult}\n"
+        else:
+            yield f"  {label}: mult {mult}, dim {dim}\n"
     if dec.group == GROUP_SYMMETRIC:
-        lines.append(f"codimension: {sum(m * d for m, d in zip(dec.terms.values(), dims))}")
-        lines.append(f"colength: {dec.total_multiplicity()}")
+        yield (f"codimension: {sum(map(mul, dec.terms.values(), dims))}\n"
+               f"colength: {dec.total_multiplicity()}\n")
     elif dec.group == GROUP_ALTERNATING and args.dim is None:
         # counts d_lambda on each split tag, not the A_n-irreducible d_lambda/2
-        lines.append(f"total dimension: {dec.total_dimension()}")
+        yield f"total dimension: {dec.total_dimension()}\n"
     elif dec.group == GROUP_GENERAL_LINEAR:
-        total = sum(m * d for m, d in zip(dec.terms.values(), dims))
-        lines.append(f"total dimension (dim V = {args.dim}): {total}")
-    lines.append("")  # the final newline, joined in rather than a copy of the whole text
-    return "\n".join(lines), EXIT_OK
+        total = sum(map(mul, dec.terms.values(), dims))
+        yield f"total dimension (dim V = {args.dim}): {total}\n"
 
 
 # ---------------------------------------------------------------------------
 # sequences
 
-def cmd_sequences(args) -> tuple[str, int]:
+SEQUENCE_HEADER = ("n", "codimension", "colength", "involutions")
+
+
+def cmd_sequences(args) -> tuple[Iterable[str], int]:
+    """The sequences table, streamed a row at a time from the running recurrences.
+
+    No form holds the table: the pretty one runs the recurrences twice, once
+    for the column widths (digit counts, ``adjusted() + 1``) and once to
+    format the rows.
+    """
     if args.max_n < 1:
         raise UsageError("max_n must be >= 1")
-    rows = []
-    for n, codim, colength, involutions in algebra._sequences(args.max_n):
-        row = {
-            "n": n,
-            "codimension": str(codim),
-            "colength": str(colength),
-            "involutions": str(involutions),
-        }
-        if args.cocharacters and n <= 10:
-            row["cocharacter"] = [str(v) for v in algebra.cocharacter(n).values]
-        rows.append(row)
+    cochars = None
+    if args.cocharacters:
+        cochars = [list(map(str, algebra.cocharacter(n).values))
+                   for n in range(1, min(args.max_n, 10) + 1)]
     if args.format == "json":
-        return _json_text({"rows": rows}), EXIT_OK
-    header = ["n", "codimension", "colength", "involutions"]
-    table = [[str(row[h]) for h in header] for row in rows]
+        return _sequences_json(args.max_n, cochars), EXIT_OK
     if args.format == "csv":
-        if args.cocharacters:
-            header.append("cocharacter")
-            for record, row in zip(table, rows):
-                record.append(" ".join(row.get("cocharacter", [])))
-        return _csv_text(header, table), EXIT_OK
-    widths = [max(map(len, col)) for col in zip(header, *table)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))
-             + ("  cocharacter" if args.cocharacters else "")]
-    for record, row in zip(table, rows):
-        line = "  ".join(v.ljust(w) for v, w in zip(record, widths))
-        if args.cocharacters:
-            line += "  " + ("(" + ", ".join(row["cocharacter"]) + ")" if "cocharacter" in row else "-")
-        lines.append(line.rstrip())
-    return "\n".join(lines) + "\n", EXIT_OK
+        return _sequences_csv(args.max_n, cochars), EXIT_OK
+    digits = [len(str(args.max_n)), 0, 0, 0]
+    for _, *values in algebra._sequences(args.max_n):
+        digits[1:] = map(max, digits[1:], (v.adjusted() + 1 for v in values))
+    widths = list(map(max, digits, map(len, SEQUENCE_HEADER)))
+    return _sequences_pretty(args.max_n, cochars, widths), EXIT_OK
+
+
+def _sequences_json(max_n: int, cochars):
+    """``json.dumps({"rows": rows}, indent=2)`` and a newline, a row at a time."""
+    yield '{\n  "rows": [\n'
+    sep = ""
+    for n, codim, colength, involutions in algebra._sequences(max_n):
+        row = {"n": n, "codimension": str(codim), "colength": str(colength),
+               "involutions": str(involutions)}
+        if cochars is not None and n <= len(cochars):
+            row["cocharacter"] = cochars[n - 1]
+        yield sep + textwrap.indent(json.dumps(row, indent=2), "    ")
+        sep = ",\n"
+    yield "\n  ]\n}\n"
+
+
+def _sequences_csv(max_n: int, cochars):
+    header = list(SEQUENCE_HEADER)
+    rows = ([str(v) for v in row] for row in algebra._sequences(max_n))
+    if cochars is not None:
+        header.append("cocharacter")
+        rows = (row + [" ".join(cochars[n - 1]) if n <= len(cochars) else ""]
+                for n, row in enumerate(rows, 1))
+    return _csv_chunks(header, rows)
+
+
+def _sequences_pretty(max_n: int, cochars, widths):
+    yield ("  ".join(map(str.ljust, SEQUENCE_HEADER, widths))
+           + ("  cocharacter" if cochars is not None else "") + "\n")
+    for n, *values in algebra._sequences(max_n):
+        line = "  ".join(map(str.ljust, [str(n), *map(str, values)], widths))
+        if cochars is not None:
+            line += "  " + ("(" + ", ".join(cochars[n - 1]) + ")" if n <= len(cochars) else "-")
+        yield line.rstrip() + "\n"
 
 
 # ---------------------------------------------------------------------------
 # dims
 
-def cmd_dims(args) -> tuple[str, int]:
+def cmd_dims(args) -> tuple[Iterable[str], int]:
     if (args.n is None) == (args.multidegree is None):
         raise UsageError("give exactly one of --n/--r or --multidegree")
     if args.n is not None:
@@ -200,20 +282,20 @@ def cmd_dims(args) -> tuple[str, int]:
         value = algebra.multigraded_dim(multidegree)
         payload = {"multidegree": list(multidegree), "dim": _decimal(value)}
     if args.format == "json":
-        return _json_text(payload), EXIT_OK
+        return (_json_text(payload),), EXIT_OK
     if args.format == "csv":
         header = list(payload)
         row = [
             " ".join(map(str, v)) if isinstance(v, list) else str(v)
             for v in payload.values()
         ]
-        return _csv_text(header, [row]), EXIT_OK
+        return _csv_chunks(header, [row]), EXIT_OK
     lines = [payload["dim"]]
     if args.enumerate:
         enum = payload["enumerated"]
         status = "matches" if enum == payload["dim"] else "MISMATCH with"
         lines.append(f"direct basis enumeration: {enum} ({status} the formula)")
-    return "\n".join(lines) + "\n", EXIT_OK
+    return ("\n".join(lines) + "\n",), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +316,14 @@ def _check(name: str, expected, compute) -> dict:
             "pass": actual == expected}
 
 
-def _dump_matrix(n: int, target: str) -> None:
-    """Stream the degree-n consequence matrix into a new file beside target, then rename it.
-
-    ``os.replace`` within one directory is one rename: a failure part-way
-    leaves an existing target as it was, creates none and removes the
-    partial file, which this process alone names.
-    """
-    partial = f"{target}.{os.getpid()}.partial"
-    fh = open(partial, "x", encoding="utf-8")
-    try:
-        with fh:
-            oracle.write_consequence_matrix(n, fh)
-        os.replace(partial, target)
-    except BaseException:
-        os.unlink(partial)
-        raise
-
-
 def _verify_checks(args) -> list[dict]:
     n = args.n
     content = oracle._component(  # the oracle's guard: one size policy, bad input refused first
         oracle._multilinear(n) if n is not None else _parse_multidegree(args.multidegree))[0]
     if n is not None:
         if args.dump_matrix:
-            _dump_matrix(n, args.dump_matrix)
+            _write_atomically(args.dump_matrix,
+                              lambda fh: oracle.write_consequence_matrix(n, fh))
         return [_check(f"quotient dimension, degree {n}", algebra.codimension(n),
                        lambda: oracle.quotient_dim(n)),
                 _check(f"irreducible multiplicities, degree {n}",
@@ -269,7 +334,7 @@ def _verify_checks(args) -> list[dict]:
                    lambda: oracle.quotient_dim_multigraded(content))]
 
 
-def cmd_verify(args) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[Iterable[str], int]:
     if (args.n is None) == (args.multidegree is None):
         raise UsageError("give exactly one of --n or --multidegree")
     if args.dump_matrix and args.n is None:
@@ -278,11 +343,11 @@ def cmd_verify(args) -> tuple[str, int]:
     all_pass = all(c["pass"] for c in checks)
     code = EXIT_OK if all_pass else EXIT_VERIFY_FAILED
     if args.format == "json":
-        return _json_text({"checks": checks, "all_pass": all_pass}), code
+        return (_json_text({"checks": checks, "all_pass": all_pass}),), code
     if args.format == "csv":
         rows = [[c["name"], c["expected"], c["actual"], "pass" if c["pass"] else "fail"]
                 for c in checks]
-        return _csv_text(["check", "expected", "actual", "status"], rows), code
+        return _csv_chunks(["check", "expected", "actual", "status"], rows), code
     lines = []
     for c in checks:
         if c["pass"]:
@@ -291,7 +356,7 @@ def cmd_verify(args) -> tuple[str, int]:
             lines.append(
                 f"FAIL: {c['name']}: computed {c['actual']}, expected {c['expected']}"
             )
-    return "\n".join(lines) + "\n", code
+    return ("\n".join(lines) + "\n",), code
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +414,11 @@ def build_parser(default_format: str | None) -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser(_read_config_format() or "pretty").parse_args(argv)
-        text, code = args.func(args)
+        chunks, code = args.func(args)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_atomically(args.out, lambda fh: fh.writelines(chunks))
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
     except (UsageError, ValueError, OSError) as exc:
         print(f"assosym: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

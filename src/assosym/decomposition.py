@@ -14,6 +14,12 @@ Multiplicities are decimal strings so arbitrary-precision values survive
 JSON consumers with 64-bit integers.  ``to_json`` writes that layout itself:
 byte for byte ``json.dumps(to_json_dict(), indent=2)`` and a newline, without
 the pure-Python encoder that an indent selects.
+
+Each text layout has one chunk generator, which yields it a piece at a time:
+``_json_chunks`` (the JSON layout, one piece per term) and ``_sum_chunks``
+(the formal sum).  ``to_json`` and ``render`` are ``"".join`` of theirs, and
+the CLI writes the same pieces as they come, so neither holds a whole table's
+text.
 """
 
 import json
@@ -134,28 +140,29 @@ class Decomposition:
         return out
 
     def to_json(self) -> str:
-        """``to_json_dict`` as two-space indented JSON text, ending in a newline.
+        """``to_json_dict`` as two-space indented JSON text, ending in a newline."""
+        return "".join(self._json_chunks())
 
-        The layout is written directly, one formatted string per term, all
-        joined once.  No string needs escaping: the group and tags are known
-        ASCII strings, and every number, quoted or not, is decimal digits.
+    def _json_chunks(self):
+        """``to_json``'s text in pieces: the header, one formatted string per term, the end.
+
+        No string needs escaping: the group and tags are known ASCII strings,
+        and every number, quoted or not, is decimal digits.
         """
-        out = [f'{{\n  "n": {self.n},\n  "group": "{self.group}",\n  "terms": [']
+        yield f'{{\n  "n": {self.n},\n  "group": "{self.group}",\n  "terms": ['
         sep = "\n"
         for (partition, sign), mult in self.terms.items():
             parts = ",\n        ".join(map(str, partition))
             parts = f"[\n        {parts}\n      ]" if partition else "[]"
             sign_line = f'      "sign": "{sign}",\n' if sign else ""
-            out.append(
-                f'{sep}    {{\n      "partition": {parts},\n{sign_line}      "mult": "{mult}"\n    }}'
-            )
+            yield (f'{sep}    {{\n      "partition": {parts},\n{sign_line}'
+                   f'      "mult": "{mult}"\n    }}')
             sep = ",\n"
-        out.append("\n  ]" if self.terms else "]")
+        end = "\n  ]" if self.terms else "]"
         if self.group == GROUP_SYMMETRIC:
-            out.append(f',\n  "codimension": "{self.total_dimension()}"'
-                       f',\n  "colength": "{self.total_multiplicity()}"')
-        out.append("\n}\n")
-        return "".join(out)
+            end += (f',\n  "codimension": "{self.total_dimension()}"'
+                    f',\n  "colength": "{self.total_multiplicity()}"')
+        yield end + "\n}\n"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":
@@ -174,10 +181,13 @@ class Decomposition:
 
     def render(self, module_symbol: str = "S") -> str:
         """Render as a formal sum, e.g. ``3*S^{(4)} + 4*S^{(3,1)}``."""
-        return _formal_sum(self.terms.values(), map(Label.render, self.terms), module_symbol)
+        return "".join(self._sum_chunks(map(Label.render, self.terms), module_symbol))
 
-
-def _formal_sum(mults, labels, module_symbol: str) -> str:
-    """The formal sum of the rendered ``labels`` with their multiplicities."""
-    terms = [f"{mult}*{module_symbol}^{{{label}}}" for mult, label in zip(mults, labels)]
-    return " + ".join(terms) if terms else "0"
+    def _sum_chunks(self, labels, module_symbol: str):
+        """The formal sum of the rendered ``labels`` with their multiplicities, a term a piece."""
+        sep = ""
+        for mult, label in zip(self.terms.values(), labels):
+            yield f"{sep}{mult}*{module_symbol}^{{{label}}}"
+            sep = " + "
+        if not sep:
+            yield "0"

@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from assosym import partitions
+from assosym import algebra, partitions
 from assosym.algebra import (
     _sequences,
     an_decomposition,
@@ -20,7 +20,7 @@ from assosym.algebra import (
     sn_decomposition,
     two_row_multiplicity,
 )
-from assosym.characters import involution_count, restrict_to_alternating
+from assosym.characters import _merge_conjugate_pairs, involution_count, restrict_to_alternating
 from assosym.decomposition import Decomposition, Label
 from assosym.oracle import oracle_multiplicities
 from assosym.partitions import (
@@ -197,6 +197,23 @@ def test_gl_decomposition_examples():
     for n in range(3, 9):
         assert gl_decomposition(n, 1).terms == {Label((n,)): n - 1}
     assert gl_decomposition(2, 5).terms == {Label((2,)): 1, Label((1, 1)): 1}
+
+
+def test_gl_decompositions_build_only_labels_with_at_most_m_rows(monkeypatch):
+    for n in range(1, 17):
+        for m in range(1, 7):
+            # the filter of the S_n table that gl_decomposition once was
+            short = [(label, mult) for label, mult in sn_decomposition(n).terms.items()
+                     if len(label.partition) <= m]
+            assert list(gl_decomposition(n, m).terms.items()) == short
+            if n >= 2:
+                assert an_gl_decomposition(n, m) == _merge_conjugate_pairs(
+                    Decomposition(n, "GL", dict(short)), halve=False)
+    shapes = []
+    specht_dim = algebra._specht_dim
+    monkeypatch.setattr(algebra, "_specht_dim", lambda lam: shapes.append(lam) or specht_dim(lam))
+    gl_decomposition(30, 3)
+    assert len(shapes) == 91  # not the 5604 partitions of 30
 
 
 def test_an_gl_decomposition_examples():
@@ -463,3 +480,6 @@ def test_decomposition_terms_are_read_only_and_canonical():
 
 def test_render_is_paper_style():
     assert sn_decomposition(3).render() == "2*S^{(3)} + 2*S^{(2,1)} + 1*S^{(1,1,1)}"
+    assert an_decomposition(5).render("S_A") == (
+        "5*S_A^{(5)} + 10*S_A^{(4,1)} + 11*S_A^{(3,2)} + 3*S_A^{(3,1,1)+} + 3*S_A^{(3,1,1)-}")
+    assert Decomposition(3, "S", {}).render() == "0"

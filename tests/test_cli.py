@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 
@@ -12,7 +13,14 @@ import pytest
 
 import assosym
 from assosym import cli, oracle
-from assosym.algebra import codimension, graded_dim, involution_count, sn_decomposition
+from assosym.algebra import (
+    _sequences,
+    cocharacter,
+    codimension,
+    graded_dim,
+    involution_count,
+    sn_decomposition,
+)
 from assosym.decomposition import Decomposition
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(assosym.__file__)))
@@ -22,6 +30,219 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# The whole-text builders that the streamed output replaced, kept as references.
+
+def reference_csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def reference_decompose(n, group, dim_v, fmt) -> str:
+    symbol, dec, dimension = cli._decompose_result(n, group, dim_v)
+    if fmt == "json":
+        return json.dumps(dec.to_json_dict(), indent=2) + "\n"
+    dims = [dimension(label) for label in dec.terms]
+    if fmt == "csv":
+        rows = [
+            [" ".join(map(str, label.partition)), label.sign, str(mult),
+             "" if dim is None else str(dim)]
+            for (label, mult), dim in zip(dec.terms.items(), dims)
+        ]
+        return reference_csv_text(["partition", "sign", "mult", "dim"], rows)
+    labels = [label.render() for label in dec.terms]
+    terms = [f"{mult}*{symbol}^{{{label}}}" for mult, label in zip(dec.terms.values(), labels)]
+    lines = [f"P_{n} = {' + '.join(terms) if terms else '0'}"]
+    for label, mult, dim in zip(labels, dec.terms.values(), dims):
+        dim_text = "" if dim is None else f", dim {dim}"
+        lines.append(f"  {label}: mult {mult}{dim_text}")
+    if dec.group == "S":
+        lines.append(f"codimension: {sum(m * d for m, d in zip(dec.terms.values(), dims))}")
+        lines.append(f"colength: {dec.total_multiplicity()}")
+    elif dec.group == "A" and dim_v is None:
+        lines.append(f"total dimension: {dec.total_dimension()}")
+    elif dec.group == "GL":
+        total = sum(m * d for m, d in zip(dec.terms.values(), dims))
+        lines.append(f"total dimension (dim V = {dim_v}): {total}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_sequences(max_n, cocharacters, fmt) -> str:
+    rows = []
+    for n, codim, colength, involutions in _sequences(max_n):
+        row = {"n": n, "codimension": str(codim), "colength": str(colength),
+               "involutions": str(involutions)}
+        if cocharacters and n <= 10:
+            row["cocharacter"] = [str(v) for v in cocharacter(n).values]
+        rows.append(row)
+    if fmt == "json":
+        return json.dumps({"rows": rows}, indent=2) + "\n"
+    header = ["n", "codimension", "colength", "involutions"]
+    table = [[str(row[h]) for h in header] for row in rows]
+    if fmt == "csv":
+        if cocharacters:
+            header.append("cocharacter")
+            for record, row in zip(table, rows):
+                record.append(" ".join(row.get("cocharacter", [])))
+        return reference_csv_text(header, table)
+    widths = [max(map(len, col)) for col in zip(header, *table)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))
+             + ("  cocharacter" if cocharacters else "")]
+    for record, row in zip(table, rows):
+        line = "  ".join(v.ljust(w) for v, w in zip(record, widths))
+        if cocharacters:
+            line += "  " + ("(" + ", ".join(row["cocharacter"]) + ")" if "cocharacter" in row else "-")
+        lines.append(line.rstrip())
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("group, dim_v", [("S", None), ("A", None), ("A", 1), ("A", 2),
+                                          ("A", 3), ("GL", 1), ("GL", 2), ("GL", 3),
+                                          ("GL", 5)])
+def test_decompose_streams_the_reference_bytes(capsys, tmp_path, group, dim_v, fmt):
+    for n in (*range(1, 15), 20):
+        argv = ["decompose", str(n), "--group", group, "--format", fmt]
+        if dim_v is not None:
+            argv += ["--dim", str(dim_v)]
+        if group == "A" and n == 1:  # A_1 has no decomposition: nothing printed
+            assert run_cli(capsys, *argv) == (
+                1, "", "assosym: error: alternating decomposition needs n >= 2\n")
+            continue
+        expected = reference_decompose(n, group, dim_v, fmt)
+        assert run_cli(capsys, *argv) == (0, expected, "")
+        target = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("cocharacters", [False, True])
+def test_sequences_stream_the_reference_bytes(capsys, fmt, cocharacters):
+    for max_n in (1, 2, 9, 10, 11, 40, 300):
+        argv = ["sequences", str(max_n), "--format", fmt]
+        if cocharacters:
+            argv.append("--cocharacters")
+        assert run_cli(capsys, *argv) == (0, reference_sequences(max_n, cocharacters, fmt), "")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("sequences", "0"), "assosym: error: max_n must be >= 1\n"),
+    (("decompose", "30", "--group", "GL"), "assosym: error: --dim is required with --group GL\n"),
+    (("decompose", "4.5"), "assosym decompose: error: argument n: invalid int value: '4.5'\n"),
+])
+def test_usage_errors_print_nothing_and_write_no_file(capsys, tmp_path, argv, err):
+    existing, new = tmp_path / "existing.txt", tmp_path / "new.txt"
+    existing.write_bytes(b"keep me\n")
+    for out in ((), ("--out", str(existing)), ("--out", str(new))):
+        try:
+            code = cli.main([*argv, *out])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.endswith(err)
+        if argv[1] == "4.5":
+            assert captured.err.startswith("usage: assosym decompose [-h]")
+        else:
+            assert captured.err == err
+    assert existing.read_bytes() == b"keep me\n"
+    assert os.listdir(tmp_path) == ["existing.txt"]
+
+
+def test_out_failing_part_way_leaves_files_alone(capsys, tmp_path, monkeypatch):
+    chunks = Decomposition._json_chunks
+
+    def failing(dec):
+        pieces = chunks(dec)
+        yield next(pieces)
+        yield next(pieces)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Decomposition, "_json_chunks", failing)
+    existing, new = tmp_path / "existing.json", tmp_path / "new.json"
+    existing.write_bytes(b"keep me\n")
+    for target in (existing, new):
+        code, out, err = run_cli(capsys, "decompose", "6", "--format", "json",
+                                 "--out", str(target))
+        assert (code, out, err) == (1, "", "assosym: error: disk full\n")
+    assert existing.read_bytes() == b"keep me\n"
+    assert os.listdir(tmp_path) == ["existing.json"]  # no new file, no partial file
+
+
+def test_out_replaces_a_longer_file_with_the_stdout_bytes(capsys, tmp_path):
+    argv = ("sequences", "1500", "--cocharacters")
+    target = tmp_path / "seq.txt"
+    target.write_bytes(b"x" * 13_000_000)
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "5c614ab37bfeb44dcb786233e504c447bfe766534921552dc766717f5566a24e"
+    assert os.listdir(tmp_path) == ["seq.txt"]
+
+
+def test_out_writes_through_a_symlink(capsys, tmp_path):
+    _, expected, _ = run_cli(capsys, "decompose", "6", "--format", "json")
+    (tmp_path / "data").mkdir()
+    real, dangling = tmp_path / "data" / "real.json", tmp_path / "data" / "later.json"
+    real.write_bytes(b"x" * 10_000)
+    links = tmp_path / "link.json", tmp_path / "dangling.json"
+    links[0].symlink_to(real)
+    links[1].symlink_to(dangling)
+    for link, target in zip(links, (real, dangling)):
+        assert run_cli(capsys, "decompose", "6", "--format", "json", "--out", str(link)) \
+            == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == expected
+    assert sorted(os.listdir(tmp_path / "data")) == ["later.json", "real.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_writes_into_a_fifo(capsys, tmp_path):
+    import threading
+
+    _, expected, _ = run_cli(capsys, "sequences", "40", "--cocharacters")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+    reader.start()
+    code = run_cli(capsys, "sequences", "40", "--cocharacters", "--out", str(fifo))
+    reader.join(timeout=30)
+    assert code == (0, "", "")
+    assert received == [expected]
+    assert os.listdir(tmp_path) == ["pipe"] and fifo.is_fifo()
+
+
+def test_out_in_a_directory_closed_to_new_files_is_written_in_place(
+        capsys, tmp_path, monkeypatch):
+    _, expected, _ = run_cli(capsys, "decompose", "5")
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"x" * 10_000)
+    inode = target.stat().st_ino
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert run_cli(capsys, "decompose", "5", "--out", str(target)) == (0, "", "")
+    assert target.read_text() == expected
+    assert target.stat().st_ino == inode
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_sequences_hold_no_table_in_memory(tmp_path):
+    # the whole-text builder peaked at 42.5 MB here: 12.4 MB of text, its
+    # rows and the encoder's copy
+    target = tmp_path / "seq.txt"
+    tracemalloc.start()
+    try:
+        code = cli.main(["sequences", "1500", "--cocharacters", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert target.stat().st_size == 12_421_281
+    assert peak < 2 * 2**20
 
 
 def test_decompose_pretty_golden(capsys):
