@@ -22,7 +22,7 @@ from itertools import count, islice
 from math import factorial
 from typing import NamedTuple
 
-from .decomposition import GROUP_ALTERNATING, GROUP_SYMMETRIC, Decomposition, Label
+from .decomposition import GROUP_ALTERNATING, GROUP_SYMMETRIC, Decomposition, Label, _check_tag
 from .partitions import (
     Partition,
     _conjugate,
@@ -226,9 +226,12 @@ def _merge_conjugate_pairs(dec: Decomposition, halve: bool) -> Decomposition:
 def alternating_label_dimension(label: Label) -> int:
     """Dimension of the alternating-group irreducible behind a label.
 
-    d_lambda for a merged conjugate-pair label, d_lambda/2 for a split one.
+    d_lambda for a merged conjugate-pair label, d_lambda/2 for a split one;
+    the tag is checked as the ``Decomposition`` constructor checks it.
     """
-    return _alternating_label_dimension(Label(check_partition(label.partition), label.sign))
+    lam = check_partition(label.partition)
+    _check_tag(lam, label.sign)
+    return _alternating_label_dimension(Label(lam, label.sign))
 
 
 def _alternating_label_dimension(label: Label) -> int:

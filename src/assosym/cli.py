@@ -7,12 +7,9 @@ decimal; multiplicities and dimensions are serialized as strings.
 A command checks its arguments and does every computation that can fail
 first, then returns its output as an iterable of pieces, which ``main``
 writes as they are produced: no whole table's text is held in memory, and
-a usage error prints nothing on stdout.  ``--out FILE`` (like ``verify
---dump-matrix FILE``) streams into a new file beside FILE that replaces it
-only once complete, so a failure part-way leaves an existing FILE as it was.
-
-An optional ``assosym.cfg`` file in the working directory (``key=value``
-lines) may set the default format.
+a usage error prints nothing on stdout.  ``--out FILE`` streams into a new
+file beside FILE that replaces it only once complete, so a failure part-way
+leaves an existing FILE as it was.
 
 Exit codes: 0 success / all checks pass, 1 usage error, 2 verification
 failure.
@@ -39,7 +36,6 @@ from .decomposition import (
 )
 from .partitions import _specht_dim, weyl_dim
 
-CONFIG_NAME = "assosym.cfg"
 FORMATS = ("pretty", "json", "csv")
 
 EXIT_OK = 0
@@ -55,23 +51,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _read_config_format() -> str | None:
-    if not os.path.exists(CONFIG_NAME):
-        return None
-    with open(CONFIG_NAME, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            if key.strip() == "format":
-                value = value.strip()
-                if value not in FORMATS:
-                    raise UsageError(f"config file sets unknown format {value!r}")
-                return value
-    return None
 
 
 def _parse_multidegree(text: str) -> tuple[int, ...]:
@@ -321,9 +300,6 @@ def _verify_checks(args) -> list[dict]:
     content = oracle._component(  # the oracle's guard: one size policy, bad input refused first
         oracle._multilinear(n) if n is not None else _parse_multidegree(args.multidegree))[0]
     if n is not None:
-        if args.dump_matrix:
-            _write_atomically(args.dump_matrix,
-                              lambda fh: oracle.write_consequence_matrix(n, fh))
         return [_check(f"quotient dimension, degree {n}", algebra.codimension(n),
                        lambda: oracle.quotient_dim(n)),
                 _check(f"irreducible multiplicities, degree {n}",
@@ -337,8 +313,6 @@ def _verify_checks(args) -> list[dict]:
 def cmd_verify(args) -> tuple[Iterable[str], int]:
     if (args.n is None) == (args.multidegree is None):
         raise UsageError("give exactly one of --n or --multidegree")
-    if args.dump_matrix and args.n is None:
-        raise UsageError("--dump-matrix applies to --n only")
     checks = _verify_checks(args)
     all_pass = all(c["pass"] for c in checks)
     code = EXIT_OK if all_pass else EXIT_VERIFY_FAILED
@@ -362,10 +336,10 @@ def cmd_verify(args) -> tuple[Iterable[str], int]:
 # ---------------------------------------------------------------------------
 # wiring
 
-def build_parser(default_format: str | None) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="assosym", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=default_format)
+    common.add_argument("--format", choices=FORMATS, default="pretty")
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -405,15 +379,13 @@ def build_parser(default_format: str | None) -> _Parser:
     p.add_argument("--multidegree", metavar="L1,L2,...")
     # accepted and ignored: old command lines pass it, and it changes no byte of the output
     p.add_argument("--allow-n6", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--dump-matrix", metavar="FILE",
-                   help="dump the consequence matrix as sparse triplets")
     p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser(_read_config_format() or "pretty").parse_args(argv)
+        args = build_parser().parse_args(argv)
         chunks, code = args.func(args)
         if args.out:
             _write_atomically(args.out, lambda fh: fh.writelines(chunks))

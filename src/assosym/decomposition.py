@@ -51,6 +51,16 @@ class Label(NamedTuple):
         return "(" + ",".join(map(str, self.partition)) + ")" + self.sign
 
 
+def _check_tag(lam: Partition, sign: str) -> None:
+    """The split-tag rule: a tag is '+' or '-', and only on a self-conjugate partition."""
+    if not sign:
+        return
+    if sign not in ("+", "-"):
+        raise ValueError(f"bad split tag {sign!r}")
+    if _conjugate(lam) != lam:
+        raise ValueError(f"split tag on non-self-conjugate {lam}")
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Degree-n decomposition into irreducibles with positive multiplicities.
@@ -77,13 +87,9 @@ class Decomposition:
                 raise ValueError(f"label {label} is not a partition of {n}")
             if mult < 1:
                 raise ValueError(f"multiplicity of {label} must be >= 1, got {mult}")
-            if label.sign:
-                if self.group != GROUP_ALTERNATING:
-                    raise ValueError("split tags only occur for alternating decompositions")
-                if label.sign not in ("+", "-"):
-                    raise ValueError(f"bad split tag {label.sign!r}")
-                if _conjugate(lam) != lam:
-                    raise ValueError(f"split tag on non-self-conjugate {lam}")
+            if label.sign and self.group != GROUP_ALTERNATING:
+                raise ValueError("split tags only occur for alternating decompositions")
+            _check_tag(lam, label.sign)
             terms[Label(lam, label.sign)] = mult
         ordered = sorted(terms.items(), key=lambda item: item[0].sign)
         ordered.sort(key=lambda item: item[0].partition, reverse=True)

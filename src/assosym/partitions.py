@@ -17,10 +17,10 @@ Partition = tuple[int, ...]
 
 
 def _integers(parts, what: str) -> tuple[int, ...]:
-    """The parts as Python ints; ValueError for a part p with int(p) != p."""
+    """The parts as Python ints; ValueError for a bool or a part p with int(p) != p."""
     parts = tuple(parts)
     ints = tuple(map(int, parts))
-    if ints != parts:
+    if ints != parts or bool in map(type, parts):
         raise ValueError(f"{what} must be integers, got {parts}")
     return ints
 

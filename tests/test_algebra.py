@@ -462,6 +462,26 @@ def test_decomposition_from_json_rejects_non_integral_numbers(n, mult):
     assert Decomposition.from_json_dict(data) == Decomposition(3, "S", {Label((3,)): 2})
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": true, "group": "S", "terms": [{"partition": [true], "mult": true}]}',
+    '{"n": 1, "group": "S", "terms": [{"partition": [true], "mult": "1"}]}',
+    '{"n": 1, "group": "S", "terms": [{"partition": [1], "mult": true}]}',
+])
+def test_decomposition_from_json_rejects_booleans(text):
+    # True == 1, so each of these once loaded as 1*S^{(1)}
+    with pytest.raises(ValueError, match="must be integers"):
+        Decomposition.from_json(text)
+
+
+def test_booleans_are_not_integers():
+    with pytest.raises(ValueError, match="must be integers"):
+        multigraded_dim((True,))  # once 1, the dimension of content (1,)
+    with pytest.raises(ValueError, match="must be integers"):
+        multigraded_dim((2, False))
+    with pytest.raises(ValueError, match="must be integers"):
+        codimension(True)
+
+
 def test_decomposition_terms_are_read_only_and_canonical():
     for dec in (sn_decomposition(6), an_decomposition(6), an_gl_decomposition(6, 3)):
         with pytest.raises(TypeError):

@@ -304,3 +304,15 @@ def test_alternating_label_dimension():
     assert alternating_label_dimension(Label((3, 1))) == 3
     assert alternating_label_dimension(Label((2, 2), "+")) == 1
     assert alternating_label_dimension(Label((3, 1, 1), "-")) == 3
+
+
+@pytest.mark.parametrize("label, message", [
+    (Label((3, 1), "+"), "split tag on non-self-conjugate"),  # once 1: d = 3, halved
+    (Label((3, 1), "x"), "bad split tag 'x'"),  # once 1 too
+    (Label((2, 2), "x"), "bad split tag 'x'"),
+])
+def test_alternating_label_dimension_checks_the_tag_as_the_constructor_does(label, message):
+    with pytest.raises(ValueError, match=message):
+        alternating_label_dimension(label)
+    with pytest.raises(ValueError, match=message):
+        Decomposition(4, "A", {label: 1})

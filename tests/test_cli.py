@@ -485,13 +485,6 @@ def test_verify_degree_1_is_the_content_1_component(capsys):
     assert (code, out) == (0, "PASS: multigraded dimension, degree 1: 1 = 1\n")
 
 
-def test_verify_dump_matrix_degree_1(capsys, tmp_path):
-    target = tmp_path / "matrix.txt"
-    code, _, _ = run_cli(capsys, "verify", "--n", "1", "--dump-matrix", str(target))
-    assert code == 0
-    assert target.read_text() == "0 1\n"  # one column, no consequence
-
-
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_verify_rejects_a_degree_below_1(capsys, n):
     code, out, err = run_cli(capsys, "verify", "--n", n)
@@ -620,61 +613,28 @@ def test_verify_builds_no_brute_force_system(capsys, fresh_oracle_caches):
     assert oracle._level.cache_info().currsize > 0
 
 
-def test_verify_dump_matrix(capsys, tmp_path):
-    target = tmp_path / "matrix.txt"
-    code, _, _ = run_cli(capsys, "verify", "--n", "3", "--dump-matrix", str(target))
-    assert code == 0
-    lines = target.read_text().splitlines()
-    assert lines[0] == "12 12"
-    assert len(lines) == 49
-
-
-def test_verify_dump_matrix_streams_to_the_pinned_file(capsys, tmp_path):
-    target = tmp_path / "d5.txt"
-    target.write_bytes(b"an older dump\n")
-    code, _, _ = run_cli(capsys, "verify", "--n", "5", "--dump-matrix", str(target))
-    assert code == 0
-    digest = hashlib.sha256(target.read_bytes()).hexdigest()
-    assert digest == "bf104bad019b0f04d12644453c9747e7a70fa0c2891472085e13549d7dd35d3d"
-    assert os.listdir(tmp_path) == ["d5.txt"]  # no temporary file left beside it
-    umask = os.umask(0)
-    os.umask(umask)
-    assert target.stat().st_mode & 0o777 == 0o666 & ~umask  # the mode of a new file
-
-
-def test_verify_dump_matrix_failing_part_way_leaves_files_alone(capsys, tmp_path, monkeypatch):
-    write = oracle.write_consequence_matrix
-
-    class Failing(io.StringIO):
-        def write(self, text):
-            self.sink.write(text)
-            raise OSError("disk full")
-
-    def failing(n, stream):
-        out = Failing()
-        out.sink = stream
-        write(n, out)
-
-    monkeypatch.setattr(cli.oracle, "write_consequence_matrix", failing)
-    existing, new = tmp_path / "existing.txt", tmp_path / "new.txt"
-    existing.write_bytes(b"keep me\n")
-    for target in (existing, new):
-        code, out, err = run_cli(capsys, "verify", "--n", "3", "--dump-matrix", str(target))
-        assert (code, out, err) == (1, "", "assosym: error: disk full\n")
-    assert existing.read_bytes() == b"keep me\n"
-    assert os.listdir(tmp_path) == ["existing.txt"]  # no new file, no temporary file
-
-
 @pytest.mark.parametrize("n", ["7", "0"])
-def test_verify_dump_matrix_leaves_files_alone_on_bad_degree(capsys, tmp_path, n):
+def test_verify_out_leaves_files_alone_on_bad_degree(capsys, tmp_path, n):
     existing, new = tmp_path / "existing.txt", tmp_path / "new.txt"
     existing.write_bytes(b"keep me\n")
     for target in (existing, new):
-        code, _, err = run_cli(capsys, "verify", "--n", n, "--dump-matrix", str(target))
-        assert code == 1
+        code, out, err = run_cli(capsys, "verify", "--n", n, "--out", str(target))
+        assert (code, out) == (1, "")
         assert err.startswith("assosym: error:")
     assert existing.read_bytes() == b"keep me\n"
-    assert not new.exists()
+    assert os.listdir(tmp_path) == ["existing.txt"]  # no new file, no partial file
+
+
+def test_verify_dump_matrix_is_a_usage_error(capsys, tmp_path):
+    # the dump is assosym.write_consequence_matrix(n, stream); verify only checks
+    target = tmp_path / "matrix.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--n", "3", "--dump-matrix", str(target)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --dump-matrix" in captured.err
+    assert not target.exists()
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -684,17 +644,30 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["codimension"] == "29"
+    assert os.listdir(tmp_path) == ["out.json"]  # no partial file left beside it
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask  # the mode of a new file
 
 
-def test_config_file_sets_default_format(capsys, tmp_path, monkeypatch):
+CONFIG_KINDS = {
+    "json": lambda path: path.write_text("# defaults\nformat=json\n"),
+    "dir": lambda path: path.mkdir(),
+    "bytes": lambda path: path.write_bytes(b"format=\xff\xfe\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIG_KINDS))
+def test_a_config_file_in_the_working_directory_changes_nothing(
+        capsys, tmp_path, monkeypatch, kind):
+    # the command line is the only input: an assosym.cfg is not read
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "assosym.cfg").write_text("# defaults\nformat=json\n")
-    code, out, _ = run_cli(capsys, "decompose", "2")
-    assert code == 0
-    assert json.loads(out)["n"] == 2
-    # explicit flag still wins
-    code, out, _ = run_cli(capsys, "decompose", "2", "--format", "csv")
-    assert out.startswith("partition,")
+    commands = [["decompose", "4"], ["sequences", "5"], ["dims", "--n", "3", "--r", "2"],
+                ["verify", "--n", "3"]]
+    expected = [run_cli(capsys, *argv) for argv in commands]
+    CONFIG_KINDS[kind](tmp_path / "assosym.cfg")
+    assert [run_cli(capsys, *argv) for argv in commands] == expected
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0]
 
 
 def test_usage_error_exit_code():
@@ -706,20 +679,11 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("case", ["out", "dump", "config-dir", "config-bytes"])
-def test_io_failures_are_usage_errors(capsys, tmp_path, monkeypatch, case):
-    monkeypatch.chdir(tmp_path)
+@pytest.mark.parametrize("argv", [["decompose", "4"], ["verify", "--n", "3"]],
+                         ids=["out", "verify-out"])
+def test_io_failures_are_usage_errors(capsys, tmp_path, argv):
     missing = str(tmp_path / "no-such-dir" / "x")
-    argv = ["decompose", "4"]
-    if case == "out":
-        argv += ["--out", missing]
-    elif case == "dump":
-        argv = ["verify", "--n", "3", "--dump-matrix", missing]
-    elif case == "config-dir":
-        (tmp_path / "assosym.cfg").mkdir()
-    else:
-        (tmp_path / "assosym.cfg").write_bytes(b"format=\xff\xfe\n")
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--out", missing)
     assert code == 1
     assert err.startswith("assosym: error:")
     assert "Traceback" not in out + err

@@ -854,6 +854,12 @@ def test_consequence_matrix_dump_format():
         assert den == "1" and int(num) in (1, -1)
 
 
+def test_consequence_matrix_dump_at_degree_1():
+    buf = io.StringIO()
+    write_consequence_matrix(1, buf)
+    assert buf.getvalue() == "0 1\n"  # one column, no consequence
+
+
 def test_consequence_matrix_dump_is_pinned_at_degree_5():
     buf = io.StringIO()
     write_consequence_matrix(5, buf)

@@ -11,12 +11,13 @@ from assosym.algebra import (
     codimension,
     colength,
     gl_decomposition,
+    multigraded_dim,
     sn_decomposition,
 )
 from assosym.characters import restrict_to_alternating
 from assosym.decomposition import Decomposition, Label
 from assosym.oracle import oracle_multiplicities
-from assosym.partitions import _conjugate, _specht_dim, generate_partitions
+from assosym.partitions import _conjugate, _kostka, _specht_dim, generate_partitions
 
 # the same examples on every run, and few enough to keep the suite quick
 EXACT = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -96,17 +97,21 @@ def test_restriction_stores_what_the_public_constructor_builds(dec):
     assert_same_as_validated(restrict_to_alternating(dec))
 
 
+def composition(cuts) -> tuple:
+    """The composition of len(cuts) + 1 that cuts the row of cells after each True."""
+    parts, run = [], 1
+    for cut in cuts:
+        if cut:
+            parts.append(run)
+            run = 0
+        run += 1
+    return (*parts, run)
+
+
 def partitions_by_compositions(n: int) -> list:
     """The partitions of n as the sorted compositions of n, reverse-lexicographic."""
-    found = set()
-    for cuts in product((False, True), repeat=max(n - 1, 0)):
-        parts, run = [], 1
-        for cut in cuts:
-            if cut:
-                parts.append(run)
-                run = 0
-            run += 1
-        found.add(tuple(sorted(parts + [run] if n else [], reverse=True)))
+    found = {tuple(sorted(composition(cuts), reverse=True)) if n else ()
+             for cuts in product((False, True), repeat=max(n - 1, 0))}
     return sorted(found, reverse=True)
 
 
@@ -116,3 +121,17 @@ def test_generate_partitions_lists_every_partition_once_in_order(n):
     listed = generate_partitions(n)
     assert list(listed) == partitions_by_compositions(n)
     assert all(type(part) is int for lam in listed for part in lam)
+
+
+compositions = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)).map(composition)
+
+
+@EXACT
+@given(compositions)
+def test_multiplicities_times_kostka_numbers_give_every_multigraded_dimension(alpha):
+    # Schur-Weyl: the component of content alpha, its parts in any order, has dimension
+    # sum_lambda m_lambda K_{lambda,alpha}
+    terms = sn_decomposition(sum(alpha)).terms
+    assert sum(m * _kostka(label.partition, alpha) for label, m in terms.items()) \
+        == multigraded_dim(alpha)
