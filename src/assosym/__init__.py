@@ -8,7 +8,6 @@ the small-degree numbers from the defining identities alone.
 from .algebra import (
     an_decomposition,
     an_gl_decomposition,
-    basis_count_direct,
     cocharacter,
     codimension,
     colength,
@@ -72,7 +71,6 @@ __all__ = [
     "alternating_label_dimension",
     "an_decomposition",
     "an_gl_decomposition",
-    "basis_count_direct",
     "character_table",
     "character_table_json",
     "class_size",

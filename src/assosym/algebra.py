@@ -11,7 +11,6 @@ all of that into executable, exact arithmetic.
 """
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
-from itertools import combinations_with_replacement, product
 from math import factorial
 
 from .characters import (
@@ -205,23 +204,3 @@ def _sequences(max_n: int):
         codim = _EXACT.subtract(_EXACT.add(fact, pow2), binomial(n + 1, 2) + 1)
         yield n, codim, _EXACT.add(inv, _two_row_colength(n)), inv
 
-
-def basis_count_direct(n: int, r: int) -> int:
-    """Count the two kinds of basis words of degree n on r generators, explicitly.
-
-    First kind: all r^n left-normed words.  Second kind: pairs of a
-    non-decreasing head of length n-k and a non-decreasing tail of length
-    k >= 3.  Must agree with graded_dim(n, r); guarded to n <= 8, r <= 4.
-    """
-    n, r = _integers((n, r), "n and r")
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be positive")
-    if n > 8 or r > 4:
-        raise ValueError("basis_count_direct is limited to n <= 8, r <= 4")
-    count = sum(1 for _ in product(range(r), repeat=n))
-    for k in range(3, n + 1):
-        heads = combinations_with_replacement(range(r), n - k)
-        for _head in heads:
-            for _tail in combinations_with_replacement(range(r), k):
-                count += 1
-    return count

@@ -250,13 +250,9 @@ def cmd_dims(args) -> tuple[Iterable[str], int]:
             raise UsageError("--n requires --r")
         value = algebra.graded_dim(args.n, args.r)
         payload = {"n": args.n, "r": args.r, "dim": _decimal(value)}
-        if args.enumerate:
-            payload["enumerated"] = _decimal(algebra.basis_count_direct(args.n, args.r))
     else:
         if args.r is not None:
             raise UsageError("--r only combines with --n")
-        if args.enumerate:
-            raise UsageError("--enumerate applies to --n/--r only")
         multidegree = _parse_multidegree(args.multidegree)
         value = algebra.multigraded_dim(multidegree)
         payload = {"multidegree": list(multidegree), "dim": _decimal(value)}
@@ -269,12 +265,7 @@ def cmd_dims(args) -> tuple[Iterable[str], int]:
             for v in payload.values()
         ]
         return _csv_chunks(header, [row]), EXIT_OK
-    lines = [payload["dim"]]
-    if args.enumerate:
-        enum = payload["enumerated"]
-        status = "matches" if enum == payload["dim"] else "MISMATCH with"
-        lines.append(f"direct basis enumeration: {enum} ({status} the formula)")
-    return ("\n".join(lines) + "\n",), EXIT_OK
+    return (payload["dim"] + "\n",), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +354,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--multidegree", metavar="L1,L2,...")
-    p.add_argument("--enumerate", action="store_true",
-                   help="cross-check by direct basis enumeration")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify", parents=[common],

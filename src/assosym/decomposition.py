@@ -53,7 +53,7 @@ class Label(NamedTuple):
 
 def _check_tag(lam: Partition, sign: str) -> None:
     """The split-tag rule: a tag is '+' or '-', and only on a self-conjugate partition."""
-    if not sign:
+    if sign == "":
         return
     if sign not in ("+", "-"):
         raise ValueError(f"bad split tag {sign!r}")

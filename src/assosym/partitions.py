@@ -11,16 +11,19 @@ the underscored helpers they call take it as already validated.
 from functools import cache, lru_cache
 from itertools import accumulate, product
 from math import comb, factorial, prod
+from numbers import Number
 from operator import ge
 
 Partition = tuple[int, ...]
 
 
 def _integers(parts, what: str) -> tuple[int, ...]:
-    """The parts as Python ints; ValueError for a bool or a part p with int(p) != p."""
+    """The parts as Python ints; ValueError for a part p with int(p) != p or a bool, numpy's too."""
     parts = tuple(parts)
     ints = tuple(map(int, parts))
-    if ints != parts or bool in map(type, parts):
+    types = set(map(type, parts))
+    # numpy's bool is no numbers.Number, and Python's bool is an int
+    if ints != parts or bool in types or not all(issubclass(t, Number) for t in types):
         raise ValueError(f"{what} must be integers, got {parts}")
     return ints
 

@@ -2,7 +2,9 @@ import decimal
 import json
 import sys
 from itertools import islice
+from math import comb
 
+import numpy as np
 import pytest
 
 from assosym import algebra, partitions
@@ -10,7 +12,6 @@ from assosym.algebra import (
     _sequences,
     an_decomposition,
     an_gl_decomposition,
-    basis_count_direct,
     cocharacter,
     codimension,
     colength,
@@ -118,7 +119,6 @@ DEGREE_ENTRY_POINTS = [
     (an_gl_decomposition, (4.0, 2), (4.5, 2)),
     (codimension, (4.0,), (4.5,)),
     (graded_dim, (2.0, 2), (2.5, 2)),
-    (basis_count_direct, (3.0, 2), (3.5, 2)),
     (cocharacter, (4.0,), (4.5,)),
     (generate_partitions, (4.0,), (4.5,)),
     (two_row_partitions, (4.0,), (4.5,)),
@@ -376,18 +376,13 @@ def test_colength_matches_decomposition():
         assert colength(n) == sn_decomposition(n).total_multiplicity()
 
 
-def test_basis_count_direct_values():
-    assert basis_count_direct(3, 1) == 2
-    assert basis_count_direct(3, 2) == 12
-    assert basis_count_direct(4, 1) == 3
-
-
-def test_basis_count_direct_matches_formula():
-    for n in range(1, 9):
-        for r in range(1, 5):
-            assert basis_count_direct(n, r) == graded_dim(n, r)
-    with pytest.raises(ValueError):
-        basis_count_direct(9, 2)
+def test_graded_dim_counts_both_kinds_of_basis_words():
+    # r^n left-normed words, plus a non-decreasing head of length n - k applied
+    # to a non-decreasing tail of length k >= 3: the binomial sum before collapsing
+    for n in range(1, 30):
+        for r in range(1, 8):
+            assert graded_dim(n, r) == r**n + sum(
+                comb(n - k + r - 1, n - k) * comb(k + r - 1, k) for k in range(3, n + 1))
 
 
 def test_decomposition_json_round_trip():
@@ -452,6 +447,14 @@ def test_decomposition_from_json_rejects_repeated_labels():
     assert Decomposition.from_json_dict(split).total_multiplicity() == 2
 
 
+def test_decomposition_from_json_rejects_a_null_split_tag():
+    # once a TypeError from the canonical sort, which ordered None against ''
+    text = ('{"n": 4, "group": "A", "terms": [{"partition": [4], "mult": "1"}, '
+            '{"partition": [2, 2], "sign": null, "mult": "1"}]}')
+    with pytest.raises(ValueError, match="bad split tag None"):
+        Decomposition.from_json(text)
+
+
 @pytest.mark.parametrize("n, mult", [(3.7, "2"), (3, 2.9)])
 def test_decomposition_from_json_rejects_non_integral_numbers(n, mult):
     # int() once truncated these to n = 3 and mult 2
@@ -480,6 +483,18 @@ def test_booleans_are_not_integers():
         multigraded_dim((2, False))
     with pytest.raises(ValueError, match="must be integers"):
         codimension(True)
+    # numpy's booleans too: each once counted as 1 or 0
+    with pytest.raises(ValueError, match="must be integers"):
+        multigraded_dim((np.True_, np.True_))
+    with pytest.raises(ValueError, match="must be integers"):
+        multigraded_dim((2, np.False_))
+    with pytest.raises(ValueError, match="must be integers"):
+        graded_dim(np.True_, 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        codimension(np.True_)
+    with pytest.raises(ValueError, match="must be integers"):
+        sn_decomposition(np.True_)
+    assert codimension(np.int64(3)) == codimension(3.0) == codimension(3)
 
 
 def test_decomposition_terms_are_read_only_and_canonical():

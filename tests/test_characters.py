@@ -310,6 +310,7 @@ def test_alternating_label_dimension():
     (Label((3, 1), "+"), "split tag on non-self-conjugate"),  # once 1: d = 3, halved
     (Label((3, 1), "x"), "bad split tag 'x'"),  # once 1 too
     (Label((2, 2), "x"), "bad split tag 'x'"),
+    (Label((2, 2), None), "bad split tag None"),  # once 2, and stored with the tag None
 ])
 def test_alternating_label_dimension_checks_the_tag_as_the_constructor_does(label, message):
     with pytest.raises(ValueError, match=message):

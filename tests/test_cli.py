@@ -428,10 +428,14 @@ def test_dims_graded(capsys):
     assert out.splitlines()[0] == "12"
 
 
-def test_dims_enumerate_cross_check(capsys):
-    code, out, _ = run_cli(capsys, "dims", "--n", "4", "--r", "2", "--enumerate")
-    assert code == 0
-    assert "matches the formula" in out
+def test_dims_enumerate_is_a_usage_error(capsys):
+    # dims prints the closed form alone; verify is the CLI's cross-check
+    for mode in (["--n", "3", "--r", "2"], ["--multidegree", "2,1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dims", *mode, "--enumerate"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (1, "")
+        assert "unrecognized arguments: --enumerate" in captured.err
 
 
 def test_dims_multidegree(capsys):
