@@ -51,13 +51,16 @@ class Label(NamedTuple):
         return "(" + ",".join(map(str, self.partition)) + ")" + self.sign
 
 
+def _check_sign(sign) -> None:
+    """A split tag's value: '', '+' or '-'."""
+    if sign not in ("", "+", "-"):
+        raise ValueError(f"bad split tag {sign!r}")
+
+
 def _check_tag(lam: Partition, sign: str) -> None:
     """The split-tag rule: a tag is '+' or '-', and only on a self-conjugate partition."""
-    if sign == "":
-        return
-    if sign not in ("+", "-"):
-        raise ValueError(f"bad split tag {sign!r}")
-    if _conjugate(lam) != lam:
+    _check_sign(sign)
+    if sign and _conjugate(lam) != lam:
         raise ValueError(f"split tag on non-self-conjugate {lam}")
 
 
@@ -174,7 +177,9 @@ class Decomposition:
     def from_json_dict(cls, data: dict) -> "Decomposition":
         terms = {}
         for entry in data["terms"]:
-            label = Label(tuple(entry["partition"]), entry.get("sign", ""))
+            sign = entry.get("sign", "")
+            _check_sign(sign)  # before the label is hashed or rendered
+            label = Label(tuple(entry["partition"]), sign)
             if label in terms:
                 raise ValueError(f"repeated label {label.render()}")
             mult = entry["mult"]

@@ -35,17 +35,19 @@ brute force, ``_system``, takes one span enumerator's consequences as
 deduplicated rows in one canonical row order over label-major columns, in
 the absolutely free algebra; it serves ``quotient_basis`` and is the
 reference the tests compare the levels against.  The kernel computes the
-reduced echelon form over GF(p), p = DEFAULT_PRIME (block Gauss-Jordan);
-its number of pivots is the rank mod p.  The reduced form, once per level
-or content, is lifted to symmetric residues and checked exactly: every row
-must be the integer combination of the lifted rows at its pivot columns,
-mod 2^40 under a bound taken from the data.  That proves rank over Q <=
-rank mod p, and rank mod p <= rank over Q always holds, so the lifted rows
-are the unique reduced echelon form over Q and their number is both ranks.
-A reduced form that does not lift raises RankMismatchError instead of a
-wrong answer.  One guard, the package's only size policy, bounds every
-component by its brute-force column count, MAX_COLUMNS.  The brute force's
-reduced rows give a rewriting map into a quotient basis, its free columns.
+reduced echelon form over GF(p), p = DEFAULT_PRIME, a block of rows at a
+time: a block is cleared against the pivot rows found so far, then reduced
+densely by a forward pass and one backward sweep.  Its number of pivots is
+the rank mod p.  The reduced form, once per level or content, is lifted to
+symmetric residues and checked exactly: every row must be the integer
+combination of the lifted rows at its pivot columns, mod 2^40 under a bound
+taken from the data.  That proves rank over Q <= rank mod p, and rank mod
+p <= rank over Q always holds, so the lifted rows are the unique reduced
+echelon form over Q and their number is both ranks.  A reduced form that
+does not lift raises RankMismatchError instead of a wrong answer.  One
+guard, the package's only size policy, bounds every component by its
+brute-force column count, MAX_COLUMNS.  The brute force's reduced rows give
+a rewriting map into a quotient basis, its free columns.
 
 Monomials are nested tuples (a leaf is an int label, a product is a pair),
 ordered by tree shape first (recursively by left-subtree size) and then by
@@ -523,40 +525,63 @@ def _substitute(rows: tuple, replaced: np.ndarray, by: tuple, ncols: int, p: int
 
 
 def _gauss_jordan(mat: np.ndarray, p: int) -> np.ndarray:
-    """Gauss-Jordan on a dense block over GF(p), in place; return the pivot columns.
+    """The reduced echelon form of a C-ordered dense block over GF(p), in place; its pivot columns.
 
-    Left to right, a row not yet a pivot row that is nonzero in a column
-    becomes its pivot row: it moves up below the earlier ones, its tail is
-    scaled by the inverse of its entry there, and the column is cleared from
-    every row, its own included.  Such a row is zero left of the column, so
-    fill-in only lands to the right.  The pivot rows end up first, in the
-    order of their columns.  Entries stay below p, so every product stays
-    below p^2 < 2^63.
+    Forward pass, left to right: a row not yet a pivot row that is nonzero
+    in a column becomes its pivot row.  It moves up below the earlier ones,
+    its tail is scaled by the inverse of its entry there, the entry is
+    dropped, and the column is cleared from the rows below it only.  Such a
+    row is zero left of the column, so fill-in only lands to the right.
+    Backward pass, last pivot to first: each pivot column is cleared from
+    the pivot rows above it.  Every later pivot column is cleared from a row
+    before its own turn, so its tail then holds only free columns: the
+    sweep creates no entry at a pivot column, and it visits only the pivots
+    that have entries above them once the forward pass ends.  The pivot rows
+    end up first, in the order of their columns, and the rows past them are
+    zero.  Each update is a rank-1 product through flat indices.  Entries
+    stay below p, so every product stays below p^2 < 2^63.
     """
+    flat = mat.reshape(-1)
+    width = mat.shape[1]
     found = []
-    for j in range(mat.shape[1]):
-        column = mat[:, j]
-        lead = column[len(found):].nonzero()[0]
+
+    def clear(j: int, r: int, others: np.ndarray) -> None:
+        """Subtract row r, entry j dropped, times their entry at j from rows ``others``."""
+        row = mat[r]
+        tail = row.nonzero()[0]
+        if tail.size:
+            idx = (others[:, None] * width + tail).ravel()
+            flat[idx] = (flat.take(idx) - (mat[others, j, None] * row[tail]).ravel()) % p
+        mat[others, j] = 0
+
+    for j in range(width):
+        r0 = len(found)
+        lead = mat[r0:, j].nonzero()[0]
         if not lead.size:
             continue
-        r0 = len(found)
-        if lead[0]:
-            mat[[r0, r0 + lead[0]]] = mat[[r0 + lead[0], r0]]
-        found.append(j)
         row = mat[r0]
-        inv = pow(int(row[j]), p - 2, p)
+        if lead[0]:
+            other = mat[r0 + lead[0]]
+            held = other.copy()
+            other[:] = row
+            row[:] = held
+        found.append(j)
+        inv = pow(int(row[j]), -1, p)
         row[j] = 0
-        row *= inv
-        row %= p
-        tail = row.nonzero()[0]
-        others = column.nonzero()[0]
-        if others.size and tail.size:
-            idx = others[:, None], tail
-            mat[idx] = (mat[idx] - column[others, None] * row[tail]) % p
-        column[others] = 0
+        if inv != 1:  # the row is zero left of j
+            tail = row[j + 1:]
+            tail *= inv
+            tail %= p
+        if lead.size > 1:  # row r0 + lead[0] now holds the old row r0, zero at j
+            clear(j, r0, r0 + lead[1:])
         if len(found) == len(mat):
             break
-    return np.array(found)
+    found = np.array(found, dtype=np.int64)
+    above = mat[:len(found), found].any(0)
+    for k in np.flatnonzero(above)[::-1].tolist():
+        j = int(found[k])
+        clear(j, k, mat[:k, j].nonzero()[0])
+    return found
 
 
 def _echelon(rows: tuple, ncols: int) -> tuple:
@@ -574,7 +599,9 @@ def _echelon(rows: tuple, ncols: int) -> tuple:
        row in the span of earlier blocks becomes zero;
     2. load: the residual goes into a dense block over only the columns it
        touches;
-    3. sweep: Gauss-Jordan inside the block;
+    3. sweep: inside the block, a forward pass clears each new pivot column
+       below its pivot row, then one backward sweep, last pivot first,
+       clears it above;
     4. substitute: the new pivots' columns are replaced in the cached rows,
        and the new rows merge into the cache by a stable sort on pivot.
 

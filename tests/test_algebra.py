@@ -1,5 +1,6 @@
 import decimal
 import json
+import re
 import sys
 from itertools import islice
 from math import comb
@@ -453,6 +454,17 @@ def test_decomposition_from_json_rejects_a_null_split_tag():
             '{"partition": [2, 2], "sign": null, "mult": "1"}]}')
     with pytest.raises(ValueError, match="bad split tag None"):
         Decomposition.from_json(text)
+
+
+@pytest.mark.parametrize("sign", [None, 1, []])
+def test_decomposition_from_json_checks_tags_before_repeated_labels(sign):
+    # once a TypeError from rendering the repeated label, or from hashing a list tag
+    data = {"n": 4, "group": "A", "terms": [
+        {"partition": [2, 2], "sign": sign, "mult": "1"},
+        {"partition": [2, 2], "sign": sign, "mult": "1"},
+    ]}
+    with pytest.raises(ValueError, match=rf"^bad split tag {re.escape(repr(sign))}$"):
+        Decomposition.from_json_dict(data)
 
 
 @pytest.mark.parametrize("n, mult", [(3.7, "2"), (3, 2.9)])

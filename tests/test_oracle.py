@@ -436,6 +436,40 @@ def test_kernel_matches_fraction_gauss_jordan_on_random_rows(monkeypatch, chunk,
         assert any(len(row) > 2 for row in got.values())
 
 
+DENSE_BLOCKS = {
+    "all zero": [[0, 0, 0, 0], [0, 0, 0, 0]],
+    "one row": [[0, 2, -1, 0, 1]],
+    "more rows than columns": [[1, 2, 0, 1], [3, 3, 1, 1], [2, 1, 1, 0], [2, 0, 0, -2],
+                               [0, 1, 1, 2], [1, 3, 1, 3]],
+    "duplicate rows": [[0, 1, 2, 0, 1], [1, 1, 0, 2, 0], [0, 1, 2, 0, 1],
+                       [1, 1, 0, 2, 0], [1, 2, 2, 2, 2]],
+    "zero column between pivots": [[0, 2, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 0, 1, -1]],
+    # column 4, the last pivot's, is in every row, and the row that leads there comes
+    # first: the shape where clearing each pivot column from every row at once was costly
+    "late column in every row": [[0, 0, 0, 0, 2, 1], [1, 1, 0, 0, 1, 1], [0, 1, 1, 0, 1, 1],
+                                 [0, 0, 1, 1, 1, 1], [0, 0, 0, 1, 1, 2]],
+}
+
+
+@pytest.mark.parametrize("p", [3, DEFAULT_PRIME])
+@pytest.mark.parametrize("name", DENSE_BLOCKS)
+def test_dense_sweep_gives_the_reduced_echelon_form(name, p):
+    block = DENSE_BLOCKS[name]
+    mat = np.array(block, dtype=np.int64) % p
+    found = oracle._gauss_jordan(mat, p).tolist()
+    rank = len(found)
+    assert found == sorted(set(found))
+    assert not mat[:rank, found].any()  # pivot entries dropped, pivot columns cleared
+    assert not mat[rank:].any()
+    got = {c: {c: 1, **{k: v for k, v in enumerate(mat[i].tolist()) if v}}
+           for i, c in enumerate(found)}
+    rows = [{k: v for k, v in enumerate(row) if v} for row in block]
+    want = {c: {k: r for k, v in row.items()  # the form over Q, mod p
+                if (r := v.numerator * pow(v.denominator, -1, p) % p)}
+            for c, row in fraction_rref(rows).items()}
+    assert got == want
+
+
 def test_kernel_returns_the_reduced_form():
     contents = [c for total in range(1, 6) for c in positive_contents(total)] + [(3, 2, 1)]
     assert len(contents) == 32
