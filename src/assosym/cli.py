@@ -110,7 +110,10 @@ def _write_atomically(target: str, write) -> None:
             write(fh)
         return
     partial = f"{real}.{os.getpid()}.partial"
-    fh = open(partial, "x", encoding="utf-8")
+    try:
+        fh = open(partial, "x", encoding="utf-8")
+    except OSError as exc:  # named by the target given, not by the partial file
+        raise OSError(exc.errno, exc.strerror, target) from None
     try:
         with fh:
             write(fh)

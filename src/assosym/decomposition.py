@@ -64,6 +64,13 @@ def _check_tag(lam: Partition, sign: str) -> None:
         raise ValueError(f"split tag on non-self-conjugate {lam}")
 
 
+def _fields(obj, *names) -> tuple:
+    """The named fields of a JSON object; ValueError if it is none or lacks one."""
+    if not isinstance(obj, Mapping) or not obj.keys() >= set(names):
+        raise ValueError(f"expected a JSON object with the fields {', '.join(names)}")
+    return tuple(map(obj.get, names))
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Degree-n decomposition into irreducibles with positive multiplicities.
@@ -175,16 +182,20 @@ class Decomposition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":
+        """The decomposition of a ``to_json_dict`` layout; ValueError for any malformed one."""
+        n, group, entries = _fields(data, "n", "group", "terms")
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"the terms must be a list, got {type(entries).__name__}")
         terms = {}
-        for entry in data["terms"]:
+        for entry in entries:
+            partition, mult = _fields(entry, "partition", "mult")
             sign = entry.get("sign", "")
-            _check_sign(sign)  # before the label is hashed or rendered
-            label = Label(tuple(entry["partition"]), sign)
+            _check_sign(sign)  # each field before the label is hashed or rendered
+            label = Label(check_partition(partition), sign)
             if label in terms:
                 raise ValueError(f"repeated label {label.render()}")
-            mult = entry["mult"]
             terms[label] = int(mult) if isinstance(mult, str) else mult
-        return cls(data["n"], data["group"], terms)
+        return cls(n, group, terms)
 
     @classmethod
     def from_json(cls, text: str) -> "Decomposition":

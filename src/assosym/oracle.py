@@ -32,7 +32,7 @@ inverts the unitriangular Kostka matrix on the levels of the contents
 mu of n (Schur-Weyl: dim A(mu) = sum of m_lambda * K_{lambda,mu}), and
 ``quotient_character`` sums the irreducible characters they count.  The
 brute force, ``_system``, takes one span enumerator's consequences as
-deduplicated rows in one canonical row order over label-major columns, in
+deduplicated rows in one canonical row order over the monomial columns, in
 the absolutely free algebra; it serves ``quotient_basis`` and is the
 reference the tests compare the levels against.  The kernel computes the
 reduced echelon form over GF(p), p = DEFAULT_PRIME, a block of rows at a
@@ -49,31 +49,24 @@ guard, the package's only size policy, bounds every component by its
 brute-force column count, MAX_COLUMNS.  The brute force's reduced rows give
 a rewriting map into a quotient basis, its free columns.
 
-Monomials are nested tuples (a leaf is an int label, a product is a pair),
-ordered by tree shape first (recursively by left-subtree size) and then by
-the left-to-right label sequence.  Over a sorted label multiset with S tree
-shapes and A distinct leaf sequences (arrangements), monomial s * A + a in
-canonical order has shape s and arrangement a.  This canonical order is the
-only one outside the system builder: the enumerations, the span, the matrix
-dump and the public span functions all use it.  The span is built on these
-(shape, arrangement) indices alone, as one (m, 4) int64 array in generation
-order.  Its splits are batched by pattern, the blocks and the context with
-their labels renumbered 1, 2, ...: per pattern, two cached numpy tables give
-every term's shape (through a table of shape grafts) and, from the split's
-labels, a code of its leaf sequence, looked up among the arrangements in
-one step.  The matrix dump formats that array a fixed number of rows at a
-time; only the public span functions and the quotient basis turn indices
-into monomials.
-
-The brute-force elimination orders its columns label-major: column
-a * S + s, by label sequence, then tree shape.  Every consequence row has
-four +-1 terms, two label sequences under two tree shapes each, so this
-order puts the two shapes of each label sequence side by side and the
-column sweep creates far less fill-in.  ``_to_label_major`` is that map,
-applied once to the span's column array where the rows are built; the
-quotient basis names its columns through it.  Everything is sequential and
-deterministic: fixed generation, row and column order, no randomness, no
-threads.
+Monomials are nested tuples (a leaf is an int label, a product is a pair).
+Over a sorted label multiset with S tree shapes (ordered recursively by
+left-subtree size) and A distinct leaf sequences (arrangements, in
+lexicographic order), monomial a * S + s has arrangement a and shape s: the
+one monomial order, which the enumerations, the span, the elimination, the
+quotient basis and the matrix dump all use.  A consequence's four +-1 terms
+are two label sequences under two tree shapes each, so this order puts them
+side by side in pairs, and the column sweep creates far less fill-in than
+an order by tree shape first.  The span is built on these indices alone, as
+one (m, 4) int64 array in generation order.  Its splits are batched by
+pattern, the blocks and the context with their labels renumbered 1, 2, ...:
+per pattern, two cached numpy tables give every term's shape (through a
+table of shape grafts) and, from the split's labels, a code of its leaf
+sequence, looked up among the arrangements in one step.  The matrix dump
+formats that array a fixed number of rows at a time; only the public span
+functions and the quotient basis turn indices into monomials.  Everything
+is sequential and deterministic: fixed generation, row and column order, no
+randomness, no threads.
 """
 
 from dataclasses import dataclass, field
@@ -123,7 +116,8 @@ def shape_key(m):
 
 
 def monomial_key(m):
-    return (shape_key(m), leaf_labels(m))
+    """Total order key on monomials: label sequence, then tree shape."""
+    return (leaf_labels(m), shape_key(m))
 
 
 def relabel(monomial, images):
@@ -184,13 +178,13 @@ def _arrangements(labels: tuple[int, ...]) -> tuple:
 
 @cache
 def monomials_with_labels(labels: tuple[int, ...]) -> tuple:
-    """All monomials whose leaf labels read the given multiset, canonical order.
+    """All monomials whose leaf labels read the given multiset, in the monomial order.
 
-    Monomial ``s * A + a`` has shape ``_templates(n)[s]`` and leaf sequence
-    ``_arrangements(labels)[a]``, for A arrangements.
+    Monomial ``a * S + s`` has leaf sequence ``_arrangements(labels)[a]`` and
+    shape ``_templates(n)[s]``, for S tree shapes.
     """
     return tuple(
-        relabel(t, arr) for t in _templates(len(labels)) for arr in _arrangements(labels)
+        relabel(t, arr) for arr in _arrangements(labels) for t in _templates(len(labels))
     )
 
 
@@ -227,7 +221,7 @@ def _multilinear(n: int) -> tuple[int, ...]:
 
 
 def enumerate_multilinear(n: int) -> list:
-    """All n! * Catalan(n-1) multilinear monomials of degree n, canonical order."""
+    """All n! * Catalan(n-1) multilinear monomials of degree n, in the monomial order."""
     return list(monomials_with_labels(_content_labels(_multilinear(n))))
 
 
@@ -384,7 +378,7 @@ def _span(labels: tuple) -> tuple:
     monomials on the blocks and a one-hole context monomial, contributes one
     consequence per generator.  Redundant (even duplicate) ones are fine;
     the row builder absorbs them.  ``columns`` is an (m, 4) int64 array, row
-    i the four canonical columns of ``monomials_with_labels(labels)`` of
+    i the four columns of ``monomials_with_labels(labels)`` of
     consequence i, coefficients SIGNS; ``vanishing`` marks the rows whose
     terms cancel in pairs, 1 with 3 and 2 with 4.  Any other coincidence
     breaks the invariant and raises AssertionError.
@@ -393,7 +387,7 @@ def _span(labels: tuple) -> tuple:
     one pattern share the cached ``_split_tables``: one product of their
     slot values with the weights gives every term's leaf sequence as a code,
     one ``searchsorted`` among the sorted codes of ``_arrangements(labels)``
-    its arrangement a, and the term's column is shape * A + a.
+    its arrangement a, and the term's column is a * S + shape, for S tree shapes.
     """
     n, base = len(labels), max(labels, default=0) + 1
     if base**n >= 2**63:
@@ -420,7 +414,7 @@ def _span(labels: tuple) -> tuple:
         arr = np.minimum(np.searchsorted(codes, found), len(codes) - 1)
         if (codes[arr] != found).any():
             raise AssertionError("a term's leaf sequence is not an arrangement of the labels")
-        terms = shapes * len(codes) + arr
+        terms = arr * _shape_count(n) + shapes
         cols[np.add.outer(firsts, np.arange(count))] = terms.reshape(len(firsts), count)
     cols = cols.reshape(-1, 4)
     same = cols[:, :, None] == cols[:, None, :]
@@ -429,16 +423,6 @@ def _span(labels: tuple) -> tuple:
     if len(bad):
         raise AssertionError(f"columns {tuple(cols[bad[0]].tolist())} neither differ nor cancel")
     return cols, vanishing
-
-
-def _to_label_major(cols, labels: tuple):
-    """Canonical columns s * A + a as label-major columns a * S + s, elementwise.
-
-    S tree shapes and A arrangements over ``labels``; ``cols`` is any integer
-    array.  The one place the label-major order is defined.
-    """
-    arrs = len(_arrangements(labels))
-    return cols % arrs * _shape_count(len(labels)) + cols // arrs
 
 
 def _content_labels(content) -> tuple[int, ...]:
@@ -606,9 +590,7 @@ def _echelon(rows: tuple, ncols: int) -> tuple:
        and the new rows merge into the cache by a stable sort on pivot.
 
     The reduced echelon form is unique, so neither the block size nor the
-    row order changes the result, only the work.  Label-major columns put
-    the two tree shapes of each label sequence in a row side by side, which
-    keeps the tails short.  Sequential and deterministic.
+    row order changes the result, only the work.  Sequential and deterministic.
     """
     p = DEFAULT_PRIME
     owner, col, val = rows
@@ -726,17 +708,17 @@ class QuotientBasis:
 def _system(content: tuple[int, ...]) -> tuple:
     """(column count, rows, pivot mask, lifted rows) of a component, by brute force.
 
-    The component in the absolutely free algebra: the canonical span becomes
-    one (m, 4) column array, mapped label-major by ``_to_label_major``; each
-    row is sorted by column and the rows are deduplicated up to sign in the
-    canonical row order of ``_distinct_rows``.  ``_certified_form`` gives the
-    reduced form over Q.  It serves ``quotient_basis`` and is the reference
-    that the tests compare the levels against.  Built once per content.
+    The component in the absolutely free algebra: the nonzero consequences
+    of the span, one (m, 4) column array; each row is sorted by column and
+    the rows are deduplicated up to sign in the canonical row order of
+    ``_distinct_rows``.  ``_certified_form`` gives the reduced form over Q.
+    It serves ``quotient_basis`` and is the reference that the tests compare
+    the levels against.  Built once per content.
     """
     labels = _content_labels(content)
     ncols = _shape_count(len(labels)) * len(_arrangements(labels))
     cols, vanishing = _span(labels)
-    cols = _to_label_major(cols[~vanishing], labels)
+    cols = cols[~vanishing]
     rows = _distinct_rows(np.arange(len(cols)).repeat(4), *_sorted_terms(cols))
     return (ncols, rows, *_certified_form(rows, ncols))
 
@@ -926,14 +908,12 @@ def _root_rows(inner: list, ncols: int, split_dims: np.ndarray, gathers: np.ndar
 def quotient_basis(n: int) -> QuotientBasis:
     """Exact reduced row echelon data for the degree-n multilinear quotient."""
     content = _multilinear(n)
-    labels = _content_labels(content)
-    ambient = monomials_with_labels(labels)
-    columns = dict(zip(_to_label_major(np.arange(len(ambient)), labels).tolist(), ambient))
+    ambient = monomials_with_labels(_content_labels(content))
     _, _, pivot, (owner, col, val) = _system(content)
-    basis = tuple(columns[i] for i in np.flatnonzero(~pivot).tolist())
-    rewrite_map: dict = {columns[c]: {} for c in np.flatnonzero(pivot).tolist()}
+    basis = tuple(ambient[i] for i in np.flatnonzero(~pivot).tolist())
+    rewrite_map: dict = {ambient[c]: {} for c in np.flatnonzero(pivot).tolist()}
     for c, k, v in zip(owner.tolist(), col.tolist(), val.tolist()):
-        rewrite_map[columns[c]][columns[k]] = -v
+        rewrite_map[ambient[c]][ambient[k]] = -v
     return QuotientBasis(n=len(content), monomials=basis, rewrite_map=rewrite_map)
 
 
@@ -995,9 +975,10 @@ def write_consequence_matrix(n: int, stream) -> None:
     """Dump the degree-n consequence matrix as sparse triplets.
 
     First line: ``nrows ncols``; then one ``row col numerator/denominator``
-    triple per nonzero, rows and columns 0-based in canonical order, each
-    row's entries by column.  A vanishing consequence keeps its row number
-    and has no entries.  The rows are written ``_DUMP_ROWS`` at a time.
+    triple per nonzero, 0-based, each row's entries by column.  Column j is
+    ``monomials_with_labels((1, ..., n))[j]``: by leaf sequence, then tree
+    shape.  Row i is consequence i of the span; a vanishing one has no
+    entries.  The rows are written ``_DUMP_ROWS`` at a time.
     """
     labels = _content_labels(_multilinear(n))
     cols, vanishing = _span(labels)

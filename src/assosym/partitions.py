@@ -18,14 +18,18 @@ Partition = tuple[int, ...]
 
 
 def _integers(parts, what: str) -> tuple[int, ...]:
-    """The parts as Python ints; ValueError for a part p with int(p) != p or a bool, numpy's too."""
-    parts = tuple(parts)
-    ints = tuple(map(int, parts))
-    types = set(map(type, parts))
-    # numpy's bool is no numbers.Number, and Python's bool is an int
-    if ints != parts or bool in types or not all(issubclass(t, Number) for t in types):
-        raise ValueError(f"{what} must be integers, got {parts}")
-    return ints
+    """The parts as ints; ValueError unless an iterable of numbers p, no bool, with int(p) == p."""
+    try:
+        parts = tuple(parts)
+        types = set(map(type, parts))
+        # numpy's bool is no numbers.Number, and Python's bool is an int
+        if bool not in types and all(issubclass(t, Number) for t in types):
+            ints = tuple(map(int, parts))
+            if ints == parts:
+                return ints
+    except (TypeError, ValueError, OverflowError):  # no iterable; a complex, NaN or infinite part
+        pass
+    raise ValueError(f"{what} must be integers, got {parts}")
 
 
 def check_partition(lam) -> Partition:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The optional certified
 degree-6 run is long; opt in with ``ASSOSYM_ACCEPT_N6=1``.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -143,7 +144,13 @@ def test_criterion_05_optional_degree_6():
     assert dim == 762 == codimension(6)
     assert oracle_multiplicities(6).terms == sn_decomposition(6).terms
     # the brute-force reference at full size: 30240 columns, certified over Q
-    assert len(quotient_basis(6).monomials) == 762 == quotient_dim(6)
+    qb = quotient_basis(6)
+    assert len(qb.monomials) == 762 == quotient_dim(6)
+    # pinned: the same basis and rewriting map as when the monomials were numbered by
+    # tree shape first, since the elimination already ran over this column order
+    text = repr((qb.monomials, list(qb.rewrite_map.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e04ba06ddace58f0f57ef7e90b1111962c9b55ad857dc910afa284813cc95cc7")
     elapsed = time.monotonic() - start
     _report("5 (optional)", f"quotient_dim(6) = 762 and the S_6 multiplicities by levels, "
                             f"and the 30240-column brute force, certified over Q ({elapsed:.0f}s)")

@@ -467,6 +467,32 @@ def test_decomposition_from_json_checks_tags_before_repeated_labels(sign):
         Decomposition.from_json_dict(data)
 
 
+def one_term(**entry) -> dict:
+    return {"n": 4, "group": "S", "terms": [entry]}
+
+
+@pytest.mark.parametrize("data, message", [
+    (one_term(partition=[[2], 2], mult="1"),
+     r"^partition parts must be integers, got \(\[2\], 2\)$"),
+    (one_term(partition=4, mult="1"), "^partition parts must be integers, got 4$"),
+    (one_term(partition=None, mult="1"), "^partition parts must be integers, got None$"),
+    (one_term(partition=[2, 2], mult=None), r"^multiplicities must be integers, got \(None,\)$"),
+    (one_term(partition=[2, 2], mult=[1]), r"^multiplicities must be integers, got \(\[1\],\)$"),
+    (one_term(partition=[4], mult=float("inf")), r"^multiplicities must be integers, got \(inf,\)$"),
+    (one_term(partition=[2, 2]), "^expected a JSON object with the fields partition, mult$"),
+    (one_term(mult="1"), "^expected a JSON object with the fields partition, mult$"),
+    ({"n": 4, "group": "S"}, "^expected a JSON object with the fields n, group, terms$"),
+    ({"n": 4, "group": "S", "terms": 5}, "^the terms must be a list, got int$"),
+    ({"n": 4, "group": "S", "terms": [5]}, "^expected a JSON object with the fields partition,"),
+    ([{"n": 4, "group": "S", "terms": []}], "^expected a JSON object with the fields n,"),
+], ids=["nested partition", "number partition", "null partition", "null mult", "list mult",
+        "infinite mult", "no mult", "no partition", "no terms", "number terms", "number term", "list document"])
+def test_decomposition_from_json_rejects_malformed_documents(data, message):
+    # each once a TypeError, KeyError, AttributeError or OverflowError: all checked first
+    with pytest.raises(ValueError, match=message):
+        Decomposition.from_json_dict(data)
+
+
 @pytest.mark.parametrize("n, mult", [(3.7, "2"), (3, 2.9)])
 def test_decomposition_from_json_rejects_non_integral_numbers(n, mult):
     # int() once truncated these to n = 3 and mult 2

@@ -689,7 +689,8 @@ def test_io_failures_are_usage_errors(capsys, tmp_path, argv):
     missing = str(tmp_path / "no-such-dir" / "x")
     code, out, err = run_cli(capsys, *argv, "--out", missing)
     assert code == 1
-    assert err.startswith("assosym: error:")
+    # the file given, not the partial file beside it that the message once named
+    assert err == f"assosym: error: [Errno 2] No such file or directory: {missing!r}\n"
     assert "Traceback" not in out + err
 
 

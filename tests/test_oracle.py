@@ -41,7 +41,6 @@ from assosym.oracle import (
     _spans,
     _sub_multisets,
     _system,
-    _to_label_major,
     _without,
 )
 from assosym.partitions import generate_partitions
@@ -86,6 +85,22 @@ def label_major(labels) -> list:
     return sorted(ambient, key=lambda m: (leaf_labels(m), shape_key(m)))
 
 
+def shape_major(labels) -> list:
+    """The monomials over a label multiset sorted by (shape_key, leaf_labels).
+
+    The order in which the span walks the monomials of its blocks and
+    contexts, and a second column order for the rank.
+    """
+    ambient = monomials_with_labels(labels)
+    return sorted(ambient, key=lambda m: (shape_key(m), leaf_labels(m)))
+
+
+def shape_major_columns(cols: np.ndarray, labels) -> np.ndarray:
+    """Columns of ``monomials_with_labels(labels)`` renumbered as indices into ``shape_major``."""
+    index = {m: i for i, m in enumerate(shape_major(labels))}
+    return np.array([index[m] for m in monomials_with_labels(labels)], dtype=np.int64)[cols]
+
+
 def entries(rows: list[dict]) -> tuple:
     """Rows {column: value} as the kernel's (row, column, value) entry triple."""
     flat = [(i, c, v) for i, row in enumerate(rows) for c, v in sorted(row.items())]
@@ -127,8 +142,8 @@ def reference_span(labels):
         for b2 in _sub_multisets(rest1):
             rest2 = _without(rest1, b2)
             for b3 in _sub_multisets(rest2):
-                contexts = monomials_with_labels((oracle.HOLE,) + _without(rest2, b3))
-                mons = [monomials_with_labels(b) for b in (b1, b2, b3)]
+                contexts = shape_major((oracle.HOLE,) + _without(rest2, b3))
+                mons = [shape_major(b) for b in (b1, b2, b3)]
                 for g in identity_generators():
                     for subs in product(*mons):
                         terms = [(relabel(term, subs), coeff) for term, coeff in g.items()]
@@ -159,6 +174,8 @@ def test_arrangements_are_the_distinct_permutations():
 
 
 def test_enumerate_multilinear_canonical_order():
+    # by leaf sequence, then tree shape
+    assert enumerate_multilinear(3)[:3] == [(1, (2, 3)), ((1, 2), 3), (1, (3, 2))]
     for n in range(1, 5):
         mons = enumerate_multilinear(n)
         keys = [monomial_key(m) for m in mons]
@@ -217,10 +234,7 @@ def test_span_matches_the_nested_tuple_reference():
         want = reference_span(labels)
         got = consequence_span_multigraded(content)
         assert [list(elem.items()) for elem in got] == [list(elem.items()) for elem in want]
-        canonical = span_elements(labels)
-        assert canonical == index_rows(want, monomials_with_labels(labels))
-        got = _to_label_major(span_array(canonical), labels)
-        assert np.array_equal(got, span_array(index_rows(want, label_major(labels))))
+        assert span_elements(labels) == index_rows(want, label_major(labels))
 
 
 def invariant_contents():
@@ -241,7 +255,6 @@ def test_every_consequence_is_four_distinct_columns_or_empty():
                 assert elem[0] == elem[2] and elem[1] == elem[3]
                 continue
             assert len(set(elem)) == 4
-            assert len(set(_to_label_major(np.array(elem, dtype=np.int64), labels))) == 4
 
 
 def test_generator_coefficients_are_the_one_sign_pattern(monkeypatch):
@@ -290,7 +303,7 @@ def test_consequence_rows_match_the_generic_row_builder():
     for content in invariant_contents():
         labels = _content_labels(content)
         canonical = span_columns(labels)
-        for cols in (canonical, _to_label_major(canonical, labels)):
+        for cols in (canonical, shape_major_columns(canonical, labels)):
             got = consequence_rows(cols)
             want = reference_rows(dict(zip(elem, SIGNS)) for elem in cols.tolist())
             assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
@@ -742,10 +755,7 @@ def test_recursive_levels_are_memoised_per_standardised_labels():
 
 def test_label_major_order_sorts_by_labels_then_shape():
     for labels in ((1, 2, 3), (1, 1, 2, 3), (1, 2, 3, 4, 5), (1, 1, 1, 2, 2, 3)):
-        ambient = monomials_with_labels(labels)
-        expected = label_major(labels)
-        columns = dict(zip(_to_label_major(np.arange(len(ambient)), labels).tolist(), ambient))
-        assert [columns[j] for j in range(len(ambient))] == expected
+        assert list(monomials_with_labels(labels)) == label_major(labels)
 
 
 def test_label_major_rank_equals_the_exact_rank(monkeypatch):
@@ -790,13 +800,14 @@ def test_quotient_basis_is_the_label_major_free_columns():
 
 
 def test_label_major_rank_equals_the_canonical_rank_at_degree_6():
+    # the rank does not depend on the column order: tree shape first gives it too
     content = (3, 2, 1)
-    canonical = monomials_with_labels(_content_labels(content))
+    labels = _content_labels(content)
     ncols, rows = _system(content)[:2]
-    canonical_rows = consequence_rows(span_columns(_content_labels(content)))
+    shape_rows = consequence_rows(shape_major_columns(span_columns(labels), labels))
     rank = _echelon(rows, ncols)[0].sum()
-    assert rank == _echelon(canonical_rows, len(canonical))[0].sum()
-    assert rank == len(canonical) - multigraded_dim(content)
+    assert rank == _echelon(shape_rows, ncols)[0].sum()
+    assert rank == ncols - multigraded_dim(content)
 
 
 def test_quotient_basis_size_and_idempotence():
@@ -898,7 +909,7 @@ def test_consequence_matrix_dump_is_pinned_at_degree_5():
     buf = io.StringIO()
     write_consequence_matrix(5, buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert digest == "bf104bad019b0f04d12644453c9747e7a70fa0c2891472085e13549d7dd35d3d"
+    assert digest == "f0470b6f930f8884c5501be10255644e4ecc581c9292d93a31e1e77eede0fe66"
 
 
 def test_consequence_matrix_dump_is_pinned_at_degree_6():
@@ -907,7 +918,7 @@ def test_consequence_matrix_dump_is_pinned_at_degree_6():
     data = buf.getvalue().encode()
     assert len(data) == 7845013
     digest = hashlib.sha256(data).hexdigest()
-    assert digest == "857731cca97601fcd1dbbd1d4d3b79d876b11486f3c5d5239cb32732ec9fd140"
+    assert digest == "94136dc92c88dfb1522c32ab94c8abc07a1fa388e901d2c320aa711d791ae873"
 
 
 def test_consequence_matrix_dump_is_streamed_in_chunks():
@@ -920,7 +931,7 @@ def test_consequence_matrix_dump_is_streamed_in_chunks():
     buf = Recorder()
     write_consequence_matrix(6, buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert digest == "857731cca97601fcd1dbbd1d4d3b79d876b11486f3c5d5239cb32732ec9fd140"
+    assert digest == "94136dc92c88dfb1522c32ab94c8abc07a1fa388e901d2c320aa711d791ae873"
     assert sum(sizes) == 7845013 and len(sizes) > 1
     assert max(sizes) <= 1 << 20  # no write holds more than 1 MB of the 7.8 MB dump
 
@@ -929,6 +940,41 @@ def dump(n) -> str:
     buf = io.StringIO()
     write_consequence_matrix(n, buf)
     return buf.getvalue()
+
+
+def monomial_dump(n) -> str:
+    """``dump(n)`` with each column named by its monomial: no column number is left.
+
+    The header, then one line per row: its entries as ``value monomial``
+    strings, sorted.  Renumbering the columns leaves this text as it is.
+    """
+    header, *lines = dump(n).splitlines()
+    ambient = monomials_with_labels(tuple(range(1, n + 1)))
+    rows = [[] for _ in range(int(header.split()[0]))]
+    for line in lines:
+        row, col, value = line.split()
+        rows[int(row)].append(f"{value} {ambient[int(col)]!r}")
+    return header + "\n" + "".join(" ; ".join(sorted(row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("n, digest", [
+    (5, "7bad631515df627c5bb1e454500e94d8fe69dcafab8e402bd4703b6bef68b682"),
+    (6, "19e2de8a9ee41e448783fceba85f7324c233a1dc536df66c6c11403ba83bb4cd"),
+])
+def test_consequence_matrix_dump_is_pinned_up_to_column_order(n, digest):
+    # the same rows over the same monomials as when the columns were numbered by tree
+    # shape first: only the column numbers of the dump changed
+    assert hashlib.sha256(monomial_dump(n).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, digest", [
+    (4, "0a289b67adea11492abea103171f573455463c3653fe0bac8370d0bc10426a52"),
+    (5, "b0aa056a99bbd5ca9d7ec6e213bea491404d29922a29c08af8d7005acab896e9"),
+])
+def test_quotient_basis_is_pinned(n, digest):
+    qb = quotient_basis(n)
+    text = repr((qb.monomials, list(qb.rewrite_map.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("call", [quotient_dim, consequence_span, enumerate_multilinear, dump])
