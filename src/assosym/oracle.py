@@ -311,6 +311,7 @@ def _without(labels: tuple, sub: tuple) -> tuple:
     return tuple(rest)
 
 
+@cache
 def _standardised(labels: tuple) -> tuple:
     """A sorted label tuple as (its labels renumbered 1, 2, ... in order, its distinct labels)."""
     distinct = tuple(dict.fromkeys(labels))
@@ -463,35 +464,57 @@ def _sorted_terms(cols: np.ndarray) -> tuple:
 
 
 _CHUNK_ROWS = 512  # rows per dense block; the result depends on neither constant
-_EXPANSION_ENTRIES = 1 << 18  # entries per sparse expansion run, bounding its memory
+_EXPANSION_ENTRIES = 1 << 16  # entries per expansion run, bounding the memory of each stage
+
+
+def _runs(totals: np.ndarray):
+    """Consecutive units in runs of at most ``_EXPANSION_ENTRIES`` entries, as (first, stop) pairs.
+
+    ``totals`` holds the running sum of the units' entry counts.  A run takes
+    whole units, at least one, so only a single unit past the bound makes a
+    run larger.  Every stage that expands entries is cut by this one rule.
+    """
+    first, base = 0, 0
+    while first < len(totals):
+        stop = max(first + 1, int(np.searchsorted(totals, base + _EXPANSION_ENTRIES, side="right")))
+        yield first, stop
+        first, base = stop, totals[stop - 1]
+
+
+def _bounds(owner: np.ndarray) -> np.ndarray:
+    """Where the groups of equal consecutive owners start, and the length past the last."""
+    return np.flatnonzero(np.diff(owner, prepend=-1, append=-1))
 
 
 def _substitute(rows: tuple, replaced: np.ndarray, by: tuple, ncols: int, p: int) -> tuple:
     """Sparse rows with every entry x at a replaced column c swapped for -x * by[c].
 
     Both ``rows`` and ``by`` are (owner, column, value) entry arrays grouped
-    by owner; row c of ``by`` is its entries owned by c, possibly none.  The
+    by owner, ``rows`` with distinct columns in increasing order within each
+    owner; row c of ``by`` is its entries owned by c, possibly none.  The
     result is grouped by owner and sorted by column within it, with terms
-    summed mod p and zeros dropped; owners and columns are int32.  Rows are
-    expanded a run of whole rows at a time, so no run exceeds
-    ``_EXPANSION_ENTRIES`` entries unless a single row does.  Every term is
-    reduced mod p before it is summed, and a sum has at most one term per
-    entry of its row, so the sums stay far inside int64 for every p below
-    2^31.5 and for the certificate's 2^40.
+    summed mod p and zeros dropped; owners and columns are int32.  With no
+    entry at a replaced column that is the rows reduced mod p, with no
+    expansion.  Otherwise the rows are expanded in ``_runs`` of whole rows.
+    Every replacing term is reduced mod p before it is summed, and a sum has
+    at most one term per entry of its row, so the sums stay far inside int64
+    for every p below 2^31.5 and for the certificate's 2^40.
     """
     owner, col, val = rows
     if not len(owner):
         return rows
+    hit = replaced[col]
+    if not hit.any():
+        val = val % p
+        keep = val != 0
+        return owner[keep].astype(np.int32), col[keep].astype(np.int32), val[keep]
     counts = np.bincount(by[0], minlength=ncols)
     stop = np.cumsum(counts)
     start = stop - counts
-    hit = replaced[col]
-    ends = np.append(np.flatnonzero(np.diff(owner)) + 1, len(owner))
-    sizes = np.cumsum(np.where(hit, counts[col], 1))[ends - 1]  # expanded, up to each row end
-    out, lo, first, base = [], 0, 0, 0
-    while first < len(ends):  # rows first..last, first <= last
-        last = max(first, int(np.searchsorted(sizes, base + _EXPANSION_ENTRIES, side="right")) - 1)
-        hi = int(ends[last])
+    bounds = _bounds(owner)
+    out = []
+    for first, last in _runs(np.cumsum(np.where(hit, counts[col], 1))[bounds[1:] - 1]):
+        lo, hi = bounds[first], bounds[last]
         o, c, v, h = owner[lo:hi].astype(np.int64), col[lo:hi], val[lo:hi], hit[lo:hi]
         length = counts[c[h]]
         at = np.repeat(start[c[h]] - np.cumsum(length) + length, length) + np.arange(length.sum())
@@ -504,7 +527,6 @@ def _substitute(rows: tuple, replaced: np.ndarray, by: tuple, ncols: int, p: int
         keep = sums != 0
         key = key[heads][keep]
         out.append(((key // ncols).astype(np.int32), (key % ncols).astype(np.int32), sums[keep]))
-        lo, first, base = hi, last + 1, sizes[last]
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
@@ -587,7 +609,7 @@ def _echelon(rows: tuple, ncols: int) -> tuple:
        below its pivot row, then one backward sweep, last pivot first,
        clears it above;
     4. substitute: the new pivots' columns are replaced in the cached rows,
-       and the new rows merge into the cache by a stable sort on pivot.
+       and the new rows merge into the cache (``_rewrite``).
 
     The reduced echelon form is unique, so neither the block size nor the
     row order changes the result, only the work.  Sequential and deterministic.
@@ -607,22 +629,42 @@ def _echelon(rows: tuple, ncols: int) -> tuple:
         mat = np.zeros((r[-1] + 1, len(used)), dtype=np.int64)
         mat[r, c] = v
         found = used[_gauss_jordan(mat, p)]
-        mat = mat[:len(found)]
-        r, c = np.nonzero(mat)
+        r, c = np.nonzero(mat[:len(found)])
         new = (found[r], used[c], mat[r, c])
+        del mat  # the dense block is not held while the cache is rewritten
         fresh = np.zeros(ncols, dtype=bool)
         fresh[found] = True
-        touched = np.zeros(ncols, dtype=bool)  # pivots whose row has an entry at a new one
-        touched[cache[0][fresh[cache[1]]]] = True
-        sel = touched[cache[0]]
-        changed = _substitute(tuple(a[sel] for a in cache), fresh, new, ncols, p)
-        cache = [np.concatenate(parts) for parts in zip((a[~sel] for a in cache), changed, new)]
-        order = np.argsort(cache[0], kind="stable")
-        cache = tuple(a[order] for a in cache)
+        cache = _rewrite(cache, fresh, new, ncols, p)
         pivot |= fresh
     if (pivot[cache[1]] | (cache[1] <= cache[0])).any():
         raise AssertionError("the echelon form mod p is not reduced")
     return pivot, cache
+
+
+def _rewrite(cache: tuple, fresh: np.ndarray, new: tuple, ncols: int, p: int) -> tuple:
+    """The cache with the fresh pivots' columns replaced in its rows and the new rows merged in.
+
+    Only the cached rows with an entry at a fresh pivot are substituted.  The
+    cached rows left as they are, the substituted ones and the new ones have
+    no pivot in common and each is grouped by pivot, so every entry is
+    written straight to its place in the result: no sort, and no
+    concatenated copy.
+    """
+    touched = np.zeros(ncols, dtype=bool)  # pivots whose row has an entry at a fresh one
+    touched[cache[0][fresh[cache[1]]]] = True
+    sel = touched[cache[0]]
+    parts = (_substitute(tuple(a[sel] for a in cache), fresh, new, ncols, p), new,
+             tuple(a[~sel] for a in cache))
+    counts = [np.bincount(owner, minlength=ncols) for owner, _, _ in parts]
+    total = sum(counts)
+    start = np.cumsum(total) - total
+    out = tuple(np.empty(int(total.sum()), dtype=a.dtype) for a in cache)
+    for part, count in zip(parts, counts):
+        owner = part[0]
+        at = start[owner] + np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+        for target, a in zip(out, part):
+            target[at] = a
+    return out
 
 
 def _lift(values: np.ndarray, p: int) -> np.ndarray:
@@ -750,26 +792,39 @@ def _distinct_rows(owner: np.ndarray, col: np.ndarray, val: np.ndarray) -> tuple
     key of interleaved (column, value) pairs; the distinct keys come out in
     one canonical row order, by descending last column and then by key:
     neither the rank nor the reduced echelon form depends on row order, but
-    this one keeps the elimination sweeps small.  The result is one (row,
-    column, value) triple of int64 entry arrays, row i the i-th key, its
-    entries by column.
+    this one keeps the elimination sweeps small.  Two rows equal up to sign
+    share their last column, so the rows are keyed and deduplicated in
+    ``_runs`` of whole groups of equal last column, in that order.  The
+    result is one (row, column, value) triple of int64 entry arrays, row i
+    the i-th key, its entries by column.
     """
-    heads = np.flatnonzero(np.diff(owner, prepend=-1))
-    lengths = np.diff(np.append(heads, len(owner)))
-    val = val * np.sign(val[heads]).repeat(lengths)
-    position = np.arange(len(owner)) - heads.repeat(lengths)
-    keys = np.full((len(heads), 2 * int(lengths.max(initial=0))), -1, dtype=np.int64)
-    row = np.arange(len(heads)).repeat(lengths)
-    keys[row, 2 * position] = col
-    keys[row, 2 * position + 1] = val
-    if len(keys):  # np.lexsort takes no empty key list; np.unique(axis=0) imports numpy.ma
+    bounds = _bounds(owner)
+    heads, lengths = bounds[:-1], np.diff(bounds)
+    last = col[bounds[1:] - 1]
+    order = np.argsort(-last, kind="stable")
+    groups = _bounds(last[order])
+    empty = np.zeros(0, dtype=np.int64)
+    out, found = [(empty,) * 3], 0
+    for first, stop in _runs(np.cumsum(lengths[order])[groups[1:] - 1]):
+        rows = order[groups[first]:groups[stop]]
+        n = lengths[rows]
+        firsts = np.cumsum(n) - n
+        at = np.repeat(heads[rows] - firsts, n) + np.arange(n.sum())
+        v = val[at] * np.sign(val[heads[rows]]).repeat(n)
+        row = np.arange(len(rows)).repeat(n)
+        position = np.arange(len(at)) - firsts.repeat(n)
+        keys = np.full((len(rows), 2 * int(n.max())), -1, dtype=np.int64)
+        keys[row, 2 * position] = col[at]
+        keys[row, 2 * position + 1] = v
         keys = keys[np.lexsort(keys.T[::-1])]
         keys = keys[np.append(True, (keys[1:] != keys[:-1]).any(1))]
-    width = (keys[:, 0::2] >= 0).sum(1)
-    keys = keys[np.argsort(-keys[np.arange(len(keys)), 2 * width - 2], kind="stable")]
-    present = keys[:, 0::2] >= 0
-    return (np.arange(len(keys)).repeat(present.sum(1)), keys[:, 0::2][present],
-            keys[:, 1::2][present])
+        width = (keys[:, 0::2] >= 0).sum(1)
+        keys = keys[np.argsort(-keys[np.arange(len(keys)), 2 * width - 2], kind="stable")]
+        present = keys[:, 0::2] >= 0
+        out.append((found + np.arange(len(keys)).repeat(present.sum(1)), keys[:, 0::2][present],
+                    keys[:, 1::2][present]))
+        found += len(keys)
+    return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 @cache
@@ -784,15 +839,19 @@ def _level(labels: tuple) -> _Level:
     does g with any u_i in I.  Hence A(U) is the direct sum of the
     A(L) (x) A(U - L) modulo the images of g(u1, u2, u3) over basis
     elements u_i, each term's inner product u_a u_b taken to its normal
-    form at the lower level.  Those images are the rows, built with one
-    gather per distinct generator term over every split at once, summed,
-    deduplicated up to sign and certified by ``_certified_form``: a level
-    stands only on certified lower levels, and its normal forms serve the
-    levels above it.  Memoised per label tuple; A(S) depends only on the
-    content of S, up to the monotone relabelling.  Nothing is evicted: a
-    long-lived process keeps every level it has built, 37 levels holding
-    2.8 MB of arrays after ``verify --n 6``.  The column guard of
-    ``_component``, which every public entry passes first, caps that.
+    form at the lower level.  Those images are the rows, each built once
+    by ``_root_rows`` (a generator's image with two elements swapped is its
+    negative), summed, deduplicated up to sign by ``_distinct_rows`` and
+    certified by ``_certified_form``.  Every stage that expands entries,
+    those two and the kernel's ``_substitute``, works in ``_runs`` of at
+    most ``_EXPANSION_ENTRIES`` entries, so none holds a whole level's
+    expansion.  A level stands only on certified lower levels, and its
+    normal forms serve the levels above it.  Memoised per label tuple; A(S)
+    depends only on the content of S, up to the monotone relabelling.
+    Nothing is evicted: a long-lived process keeps every level it has
+    built, 37 levels holding 2.8 MB of arrays after ``verify --n 6``.  The
+    column guard of ``_component``, which every public entry passes first,
+    caps that.
     """
     empty = np.zeros(0, dtype=np.int64)
     if len(labels) == 1:
@@ -806,15 +865,16 @@ def _level(labels: tuple) -> _Level:
 
     first: dict = {}  # inner level -> its first column in the joint normal-form table
     joint = 0
-    # per split: the block dimensions; per split and term: the inner product u_x u_y is
-    # joint column base + a_x * step_x + a_y, and entry e of its normal form lands on
-    # column outer + e * step_e + a_z * step_z
-    split_dims, gathers = [], []
+    # per split: its blocks, by index in proper; per split and term: the inner product
+    # u_x u_y is joint column base + a_x * step_x + a_y, and entry e of its normal form
+    # lands on column outer + e * step_e + a_z * step_z
+    index = {sub: i for i, sub in enumerate(proper)}
+    split_blocks, gathers = [], []
     for b1 in proper:
         rest1 = _without(labels, b1)
         for b2 in list(_sub_multisets(rest1))[:-1]:
             blocks = (b1, b2, _without(rest1, b2))
-            split_dims.append([dims[b] for b in blocks])
+            split_blocks.append([index[b] for b in blocks])
             for x, y, z, right in _root_terms()[0]:
                 inner = tuple(sorted(blocks[x] + blocks[y]))
                 if right:
@@ -829,9 +889,10 @@ def _level(labels: tuple) -> _Level:
                     tuple(distinct.index(label) + 1 for label in blocks[x])]
                 gathers.append((base, dims[blocks[y]], outer, step_e, step_z))
     rows = (empty,) * 3
-    if split_dims:
+    if split_blocks:
         rows = _distinct_rows(*_root_rows([_level(s) for s in first], ncols,
-                                          np.array(split_dims), np.array(gathers)))
+                                          np.array(list(dims.values())), np.array(split_blocks),
+                                          np.array(gathers)))
     pivot, (owner, tail, lifted) = _certified_form(rows, ncols)
     index = np.cumsum(~pivot) - 1  # the basis index of each free column
     free = np.flatnonzero(~pivot)
@@ -844,32 +905,46 @@ def _level(labels: tuple) -> _Level:
 
 @cache
 def _root_terms() -> tuple:
-    """The generators' distinct terms as (x, y, z, right), and each generator's terms by index.
+    """The generators' distinct terms as (x, y, z, right), each generator's terms, its swap.
 
     A term is u_z (u_x u_y) if ``right``, else (u_x u_y) u_z, with x, y, z
-    the 0-based blocks of a split; the inner product is always u_x u_y.
+    the 0-based blocks of a split; the inner product is always u_x u_y.  A
+    generator's terms are indices into the first list, and its swap is the
+    pair of variables, in order, that its first and third terms exchange:
+    (1, 2) for g1, (0, 1) for g2.
     """
     terms = list(dict.fromkeys(term for terms in _generator_terms() for term in terms))
     roles = tuple((j, k, i, True) if isinstance(_templates(3)[shape][0], int) else (i, j, k, False)
                   for shape, (i, j, k) in terms)
-    return roles, tuple(tuple(map(terms.index, g)) for g in _generator_terms())
+    swaps = tuple(tuple(i for i, (u, v) in enumerate(zip(g[0][1], g[2][1])) if u != v)
+                  for g in _generator_terms())
+    return roles, tuple(tuple(map(terms.index, g)) for g in _generator_terms()), swaps
 
 
-def _root_rows(inner: list, ncols: int, split_dims: np.ndarray, gathers: np.ndarray) -> tuple:
-    """The root rows g(u1, u2, u3) of one level as summed entry triples, grouped by row.
+def _root_rows(inner: list, ncols: int, dims: np.ndarray, split_blocks: np.ndarray,
+               gathers: np.ndarray) -> tuple:
+    """The root rows g(u1, u2, u3) of one level, each built once, as summed entry triples.
 
     ``inner`` lists the lower levels whose normal forms the terms use, their
-    tables joined in that order; ``split_dims`` is (splits, 3) and
-    ``gathers`` (splits * terms, 5), split-major over ``_root_terms``, as
-    ``_level`` builds them.  Every (split, a1, a2, a3) is one triple, one
-    gather per term over all of them; generator g's row for triple t is
-    g * triples + t.  Equal entries of a row are summed and zeros dropped.
+    tables joined in that order; ``dims`` holds the dimension of each block,
+    numbered by its index among the proper sub-multisets; ``split_blocks`` is
+    (splits, 3) and ``gathers`` (splits * terms, 5), split-major over
+    ``_root_terms``, as ``_level`` builds them.  Every (split, a1, a2, a3) is
+    one triple.  A generator changes sign when its two swapped elements do,
+    and vanishes when they are equal, so under the order of (block, basis
+    index) pairs its row is built only where the first of them is the
+    smaller: g1 where (b2, a2) < (b3, a3), g2 where (b1, a1) < (b2, a2).
+    The triples with neither row are dropped before any gather.  The rest
+    are built in ``_runs`` of whole triples, one gather per term: rows
+    grouped by row and by column within it, equal entries summed and zeros
+    dropped.
     """
-    roles, generators = _root_terms()
+    roles, generators, swaps = _root_terms()
     counts = np.concatenate([level.counts for level in inner])
     starts = np.cumsum(counts) - counts
     basis = np.concatenate([level.basis for level in inner])
     coefs = np.concatenate([level.coefs for level in inner])
+    split_dims = dims[split_blocks]
     sizes = split_dims.prod(1)
     split = np.arange(len(sizes)).repeat(sizes)
     rest = np.arange(len(split)) - (np.cumsum(sizes) - sizes)[split]
@@ -877,31 +952,43 @@ def _root_rows(inner: list, ncols: int, split_dims: np.ndarray, gathers: np.ndar
     for d in split_dims[split, ::-1].T:  # a3, a2, a1
         rest, digit = np.divmod(rest, d)
         a.insert(0, digit)
-    gathers = gathers.reshape(len(sizes), len(roles), 5)[split]
-    entries = []
-    for t, (x, y, z, _) in enumerate(roles):
-        base, step_x, outer, step_e, step_z = gathers[:, t].T
-        joint = base + a[x] * step_x + a[y]
-        length = counts[joint]
-        at = np.repeat(starts[joint] - np.cumsum(length) + length, length) + np.arange(length.sum())
-        entries.append((np.arange(len(split)).repeat(length),
-                        np.repeat(outer + a[z] * step_z, length) + basis[at] * step_e.repeat(length),
-                        coefs[at]))
-    row, col, val = [], [], []
-    for g, generator in enumerate(generators):
-        for sign, t in zip(SIGNS, generator):
-            triple, c, v = entries[t]
-            row.append(triple + g * len(split))
-            col.append(c)
-            val.append(sign * v)
-    key = np.concatenate(row) * ncols + np.concatenate(col)
-    order = np.argsort(key)
-    key = key[order]
-    heads = np.flatnonzero(np.diff(key, prepend=-1))
-    sums = np.add.reduceat(np.concatenate(val)[order], heads)
-    keep = sums != 0
-    key = key[heads][keep]
-    return key // ncols, key % ncols, sums[keep]
+    pair = [split_blocks[split, i] * int(dims.max()) + a[i] for i in range(3)]
+    kept = np.array([pair[i] < pair[j] for i, j in swaps])  # (generators, triples)
+    select = kept.any(0)
+    split, kept, a = split[select], kept[:, select], [digit[select] for digit in a]
+    gathers = gathers.reshape(len(sizes), len(roles), 5)
+
+    def term(t: int, run: slice) -> tuple:
+        """Per triple of ``run``: term t's inner column, and the step and first of its columns."""
+        x, y, z, _ = roles[t]
+        base, step_x, outer, step_e, step_z = gathers[split[run], t].T
+        return base + a[x][run] * step_x + a[y][run], step_e, outer + a[z][run] * step_z
+
+    length = [counts[term(t, slice(None))[0]] for t in range(len(roles))]
+    expanded = sum(built * sum(length[t] for t in terms) for built, terms in zip(kept, generators))
+    empty = np.zeros(0, dtype=np.int64)
+    out, nrows = [(empty,) * 3], 0
+    for lo, hi in _runs(np.cumsum(expanded)):
+        row, col, val = [], [], []
+        for built, terms in zip(kept, generators):
+            triples = np.flatnonzero(built[lo:hi])
+            for sign, t in zip(SIGNS, terms):
+                joint, step_e, first = (v[triples] for v in term(t, slice(lo, hi)))
+                n = counts[joint]
+                at = np.repeat(starts[joint] - np.cumsum(n) + n, n) + np.arange(n.sum())
+                row.append(nrows + np.arange(len(triples)).repeat(n))
+                col.append(np.repeat(first, n) + basis[at] * step_e.repeat(n))
+                val.append(sign * coefs[at])
+            nrows += len(triples)
+        key = np.concatenate(row) * ncols + np.concatenate(col)
+        order = np.argsort(key)
+        key = key[order]
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        sums = np.add.reduceat(np.concatenate(val)[order], heads)
+        keep = sums != 0
+        key = key[heads][keep]
+        out.append((key // ncols, key % ncols, sums[keep]))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 @cache

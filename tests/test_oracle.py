@@ -1,6 +1,8 @@
 import hashlib
 import io
 import random
+import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -512,6 +514,121 @@ def test_kernel_result_does_not_depend_on_block_or_expansion_size(monkeypatch, c
     assert all(form == forms[0] for form in forms)
 
 
+def level_dim(labels) -> int:
+    return oracle._level(oracle._standardised(labels)[0]).dim
+
+
+def normal_forms(standard) -> list[dict]:
+    """Per column of a level over standardised labels: its normal form {basis index: coef}."""
+    level = oracle._level(standard)
+    stops = np.cumsum(level.counts).tolist()
+    basis, coefs = level.basis.tolist(), level.coefs.tolist()
+    return [dict(zip(basis[stop - k:stop], coefs[stop - k:stop]))
+            for stop, k in zip(stops, level.counts.tolist())]
+
+
+def reference_root_rows(labels) -> list[dict]:
+    """Every g(u1, u2, u3) at the root of a level, over every ordered split and basis triple.
+
+    Each term's inner product is taken to its normal form one entry at a time;
+    both g1 = (x,y,z) - (x,z,y) and g2 = (x,y,z) - (y,x,z) are built for every
+    ordering of the blocks, negatives and zeros included, and zero rows dropped.
+    """
+    level = oracle._level(labels)
+    forms: dict = {}  # standardised inner labels -> normal_forms
+    rows = []
+    for b1 in list(_sub_multisets(labels))[:-1]:
+        rest = _without(labels, b1)
+        for b2 in list(_sub_multisets(rest))[:-1]:
+            blocks = (b1, b2, _without(rest, b2))
+            for a in product(*(range(level_dim(b)) for b in blocks)):
+                for generator in identity_generators():
+                    row: dict = {}
+                    for (left, right), sign in generator.items():
+                        (i, j), k = (right, left) if isinstance(left, int) else (left, right)
+                        inner = tuple(sorted(blocks[i - 1] + blocks[j - 1]))
+                        standard, distinct = oracle._standardised(inner)
+                        if standard not in forms:
+                            forms[standard] = normal_forms(standard)
+                        at = tuple(distinct.index(x) + 1 for x in blocks[i - 1])
+                        column = (oracle._level(standard).offsets[at]
+                                  + a[i - 1] * level_dim(blocks[j - 1]) + a[j - 1])
+                        for e, c in forms[standard][column].items():
+                            if isinstance(left, int):  # u_k (u_i u_j)
+                                col = (level.offsets[blocks[k - 1]]
+                                       + a[k - 1] * level_dim(inner) + e)
+                            else:  # (u_i u_j) u_k
+                                col = level.offsets[inner] + e * level_dim(blocks[k - 1]) + a[k - 1]
+                            row[col] = row.get(col, 0) + sign * c
+                    row = {c: v for c, v in row.items() if v}
+                    if row:
+                        rows.append(row)
+    return rows
+
+
+def certified_rows(monkeypatch, labels) -> tuple:
+    """The rows that one more build of a level passes to ``_certified_form``."""
+    oracle._level(labels)  # every lower level is built and cached
+    seen = []
+    certify = oracle._certified_form
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_certified_form", lambda rows, ncols: seen.append(rows) or
+                  certify(rows, ncols))
+        level = oracle._level.__wrapped__(labels)
+    assert len(seen) == 1
+    return level, seen[0]
+
+
+@pytest.mark.parametrize("content", [(2, 2, 1, 1), (2, 2, 2), (3, 3), (3, 2, 1), (2, 1, 1, 1, 1)])
+def test_root_rows_built_once_equal_the_rows_of_every_ordering(monkeypatch, content):
+    labels = _content_labels(content)
+    _, rows = certified_rows(monkeypatch, labels)
+    want = _distinct_rows(*entries(reference_root_rows(labels)))
+    assert [a.tolist() for a in rows] == [a.tolist() for a in want]
+
+
+@pytest.mark.parametrize("content", [(2, 2, 1), (3, 2, 1), (2, 1, 1, 1)])
+def test_levels_do_not_depend_on_the_expansion_run_size(monkeypatch, content):
+    labels = _content_labels(content)
+    for sub in sorted({oracle._standardised(sub)[0] for sub in _sub_multisets(labels)
+                       if len(sub) > 2}):
+        level, rows = certified_rows(monkeypatch, sub)
+        runs: dict = {}
+        cut = oracle._runs
+
+        def spy(totals):
+            stage = runs.setdefault(sys._getframe(1).f_code.co_name, [])
+            stage.append((len(totals), list(cut(totals))))
+            return iter(stage[-1][1])
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_EXPANSION_ENTRIES", 1)
+            m.setattr(oracle, "_runs", spy)
+            one, one_rows = certified_rows(monkeypatch, sub)
+        assert [a.tolist() for a in one_rows] == [a.tolist() for a in rows]
+        assert one.dim == level.dim and one.offsets == level.offsets
+        for name in ("counts", "basis", "coefs"):
+            assert getattr(one, name).tolist() == getattr(level, name).tolist()
+        assert {"_root_rows", "_distinct_rows"} <= set(runs)
+        # every unit here has entries, so each run is one triple, one group of equal last
+        # column or one row
+        for units, cuts in (call for stage in runs.values() for call in stage):
+            assert cuts == [(i, i + 1) for i in range(units)]
+
+
+def test_a_level_build_holds_no_whole_expansion():
+    # building every root consequence twice, each stage in one piece, peaked at 13.6 MB
+    labels = _content_labels((2, 2, 2))
+    oracle._level(labels)  # every lower level is built and cached
+    tracemalloc.start()
+    try:
+        oracle._level.__wrapped__(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 @pytest.mark.parametrize(
     "content", [(1, 1, 1), (1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2), (4, 1)]
 )
@@ -861,7 +978,7 @@ def test_oracle_multiplicities_match_closed_form():
 
 
 def test_oracle_multiplicities_at_degree_6_by_kostka_inversion():
-    # the eleven levels of the contents of 6, 1^6 the largest: about 3 s, no brute force
+    # the eleven levels of the contents of 6, 1^6 the largest: about 2 s, no brute force
     assert oracle_multiplicities(6) == sn_decomposition(6)
 
 
